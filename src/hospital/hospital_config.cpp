@@ -1,6 +1,8 @@
 #include "hospital_config.hpp"
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 namespace mcps::hospital {
 
@@ -32,6 +34,25 @@ void HospitalConfig::validate() const {
     if (nurses_per_ward == 0) fail("nurses_per_ward == 0");
     if (bus_capacity_per_tick == 0) fail("bus_capacity_per_tick == 0");
     if (bus_queue_limit == 0) fail("bus_queue_limit == 0");
+    // Range checks of the form `x < 0.0` let NaN through, and an
+    // infinite time reaches std::llround in the engine; reject both here.
+    const std::pair<const char*, double> reals[] = {
+        {"tick_s", tick_s},
+        {"spo2_alarm_threshold", spo2_alarm_threshold},
+        {"interlock_deadline_s", interlock_deadline_s},
+        {"monitor_period_s", monitor_period_s},
+        {"nurse_service_s", nurse_service_s},
+        {"demand_per_hour", demand_per_hour},
+        {"bolus_mg", bolus_mg},
+        {"infusion_mg_per_hour", infusion_mg_per_hour},
+        {"lockout_s", lockout_s},
+        {"storm_fraction", storm_fraction},
+        {"storm_bolus_mg", storm_bolus_mg},
+        {"storm_at_s", storm_at_s},
+    };
+    for (const auto& [name, value] : reals) {
+        if (!std::isfinite(value)) fail(std::string{name} + " is not finite");
+    }
     if (!(tick_s > 0.0) || tick_s > 10.0) fail("tick_s outside (0, 10]");
     if (duration <= mcps::sim::SimDuration::zero()) fail("duration <= 0");
     if (spo2_alarm_threshold < 50.0 || spo2_alarm_threshold >= 100.0) {

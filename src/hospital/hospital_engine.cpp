@@ -249,7 +249,7 @@ HospitalReport HospitalEngine::run() const {
                 }
             }
 
-            // B. physiology: one SoA sweep over the ward's lanes.
+            // B. physiology: one batch sweep over the ward's lanes.
             batch.step_range(first, last, tick_s);
 
             // C. sensing, local interlock, safety-invariant clock.

@@ -8,7 +8,7 @@
 ///                  press boluses the pump (lockout permitting). The
 ///                  synchronized "storm" disturbance injects oversized
 ///                  boluses into a seeded patient subset at one tick.
-///   B. physio    : one SoA PatientBatch::step_range over the ward's
+///   B. physio    : one PatientBatch::step_range over the ward's
 ///                  contiguous lane range.
 ///   C. sensing   : staggered periodic vitals publish onto the ward
 ///                  bus; patients below the SpO2 threshold additionally

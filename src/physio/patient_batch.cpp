@@ -6,90 +6,89 @@
 
 namespace mcps::physio {
 
+void PatientBatch::set_factors(Lane& lane, const PatientParameters& params,
+                               double dt) {
+    lane.f_co2 = 1.0 - std::exp(-dt / params.resp.tau_co2_s);
+    lane.f_o2 = 1.0 - std::exp(-dt / params.resp.tau_o2_s);
+    lane.f_hr = 1.0 - std::exp(-dt / params.cardio.tau_hr_s);
+}
+
+void PatientBatch::use_factors_for(double dt) {
+    if (factor_dt_.load() == dt) return;
+    const std::lock_guard<std::mutex> lock{factor_mu_};
+    if (factor_dt_.load() == dt) return;
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        set_factors(lanes_[i], params_[i], dt);
+    }
+    factor_dt_.store(dt);
+}
+
 std::size_t PatientBatch::add(const PatientParameters& params) {
     params.validate();
-    const std::size_t i = n_;
+    const auto& pk = params.pk;
+    const auto& pd = params.pd;
+    const auto& rp = params.resp;
+    const auto& cp = params.cardio;
 
-    v1_.push_back(params.pk.v1_liters);
-    k10_.push_back(params.pk.k10_per_min);
-    k12_.push_back(params.pk.k12_per_min);
-    k21_.push_back(params.pk.k21_per_min);
-    ke0_.push_back(params.pk.ke0_per_min);
+    Lane lane{};
+    lane.k10 = pk.k10_per_min;
+    lane.k12 = pk.k12_per_min;
+    lane.k21 = pk.k21_per_min;
+    lane.ke0 = pk.ke0_per_min;
+    lane.v1 = pk.v1_liters;
+    lane.antag_hl = 1.0;
 
-    ec50_.push_back(params.pd.ec50_ng_ml);
-    gamma_.push_back(params.pd.gamma);
-    emax_.push_back(params.pd.emax);
+    lane.gamma = pd.gamma;
+    lane.emax = pd.emax;
+    lane.ec50_pow = std::pow(pd.ec50_ng_ml, pd.gamma);
+    lane.base_paco2 = rp.baseline_paco2_mmhg;
+    lane.co2_gain = rp.co2_gain;
+    lane.apnea_thresh = rp.apnea_drive_threshold;
+    lane.base_rr = rp.baseline_rr_per_min;
+    lane.base_vt = rp.baseline_tidal_ml;
+    lane.drive = 1.0;
+    lane.rr = rp.baseline_rr_per_min;
+    lane.tidal = rp.baseline_tidal_ml;
 
-    base_rr_.push_back(params.resp.baseline_rr_per_min);
-    base_vt_.push_back(params.resp.baseline_tidal_ml);
-    deadspace_.push_back(params.resp.deadspace_ml);
-    base_paco2_.push_back(params.resp.baseline_paco2_mmhg);
-    fio2_.push_back(params.resp.fio2);
-    aa_grad_.push_back(params.resp.aa_gradient_mmhg);
-    tau_co2_.push_back(params.resp.tau_co2_s);
-    tau_o2_.push_back(params.resp.tau_o2_s);
-    apnea_thresh_.push_back(params.resp.apnea_drive_threshold);
-    co2_gain_.push_back(params.resp.co2_gain);
-    apnea_rise_.push_back(params.resp.apnea_paco2_rise_mmhg_per_s);
-
-    base_hr_.push_back(params.cardio.baseline_hr_bpm);
-    hypox_gain_.push_back(params.cardio.hypoxia_tachycardia_gain);
-    severe_spo2_.push_back(params.cardio.severe_hypoxia_spo2);
-    tau_hr_.push_back(params.cardio.tau_hr_s);
-
-    a1_.push_back(0.0);
-    a2_.push_back(0.0);
-    ce_.push_back(0.0);
-    delivered_.push_back(0.0);
-    eliminated_.push_back(0.0);
-    rate_mg_h_.push_back(0.0);
-    antag_level_.push_back(0.0);
-    antag_potency_.push_back(0.0);
-    antag_hl_.push_back(1.0);
-
-    drive_.push_back(1.0);
-    rr_.push_back(params.resp.baseline_rr_per_min);
-    tidal_.push_back(params.resp.baseline_tidal_ml);
-    paco2_.push_back(params.resp.baseline_paco2_mmhg);
+    lane.deadspace = rp.deadspace_ml;
+    lane.apnea_rise = rp.apnea_paco2_rise_mmhg_per_s;
+    lane.fio2 = rp.fio2;
+    lane.aa_grad = rp.aa_gradient_mmhg;
+    lane.paco2 = rp.baseline_paco2_mmhg;
     // Same equilibrium initialization as the Patient constructor.
-    const double pao2_eq = params.resp.fio2 * (760.0 - 47.0) -
-                           params.resp.baseline_paco2_mmhg / 0.8 -
-                           params.resp.aa_gradient_mmhg;
-    pao2_.push_back(pao2_eq);
-    spo2_.push_back(severinghaus_spo2(pao2_eq));
-    hr_.push_back(params.cardio.baseline_hr_bpm);
-    elapsed_.push_back(0.0);
+    lane.pao2 = rp.fio2 * (760.0 - 47.0) - rp.baseline_paco2_mmhg / 0.8 -
+                rp.aa_gradient_mmhg;
+    lane.spo2 = severinghaus_spo2(lane.pao2);
 
+    lane.base_hr = cp.baseline_hr_bpm;
+    lane.severe_spo2 = cp.severe_hypoxia_spo2;
+    lane.hypox_gain = cp.hypoxia_tachycardia_gain;
+    lane.hr = cp.baseline_hr_bpm;
+
+    const double dt = factor_dt_.load();
+    if (dt > 0) set_factors(lane, params, dt);
+
+    lanes_.push_back(lane);
     params_.push_back(params);
-    ++n_;
-    return i;
+    return lanes_.size() - 1;
 }
 
 void PatientBatch::reserve(std::size_t n) {
-    for (auto* v :
-         {&v1_, &k10_, &k12_, &k21_, &ke0_, &ec50_, &gamma_, &emax_,
-          &base_rr_, &base_vt_, &deadspace_, &base_paco2_, &fio2_, &aa_grad_,
-          &tau_co2_, &tau_o2_, &apnea_thresh_, &co2_gain_, &apnea_rise_,
-          &base_hr_, &hypox_gain_, &severe_spo2_, &tau_hr_, &a1_, &a2_, &ce_,
-          &delivered_, &eliminated_, &rate_mg_h_, &antag_level_,
-          &antag_potency_, &antag_hl_, &drive_, &rr_, &tidal_, &paco2_,
-          &pao2_, &spo2_, &hr_, &elapsed_}) {
-        v->reserve(n);
-    }
+    lanes_.reserve(n);
     params_.reserve(n);
 }
 
 void PatientBatch::bolus(std::size_t i, Dose d) {
     if (d < Dose::zero()) throw std::invalid_argument("bolus: negative dose");
-    a1_[i] += d.as_mg();
-    delivered_[i] += d.as_mg();
+    lanes_[i].a1 += d.as_mg();
+    lanes_[i].delivered += d.as_mg();
 }
 
 void PatientBatch::set_infusion_rate(std::size_t i, InfusionRate r) {
     if (r < InfusionRate::zero()) {
         throw std::invalid_argument("set_infusion_rate: negative rate");
     }
-    rate_mg_h_[i] = r.as_mg_per_hour();
+    lanes_[i].rate_mg_h = r.as_mg_per_hour();
 }
 
 void PatientBatch::give_antagonist(std::size_t i, double potency,
@@ -97,9 +96,9 @@ void PatientBatch::give_antagonist(std::size_t i, double potency,
     if (potency <= 0 || half_life_s <= 0) {
         throw std::invalid_argument("give_antagonist: non-positive parameter");
     }
-    antag_level_[i] = 1.0;
-    antag_potency_[i] = potency;
-    antag_hl_[i] = half_life_s;
+    lanes_[i].antag_level = 1.0;
+    lanes_[i].antag_potency = potency;
+    lanes_[i].antag_hl = half_life_s;
 }
 
 namespace {
@@ -113,22 +112,26 @@ void PatientBatch::step_range(std::size_t first, std::size_t last,
     if (dt_seconds <= 0) {
         throw std::invalid_argument("PatientBatch::step_range: dt <= 0");
     }
-    if (first > last || last > n_) {
+    if (first > last || last > lanes_.size()) {
         throw std::out_of_range("PatientBatch::step_range: bad lane range");
     }
+    use_factors_for(dt_seconds);
     const double dt = dt_seconds;
     const double dt_min = dt_seconds / 60.0;
+    const double alpha = 1.0 - std::exp(-dt / 15.0);
 
     for (std::size_t i = first; i < last; ++i) {
+        Lane& L = lanes_[i];
+
         // --- PK: one RK4 step, expression-for-expression the scalar
         // PkTwoCompartment::step so lanes stay bit-identical.
         {
-            const double u_mg_per_min = rate_mg_h_[i] / 60.0;
-            const double k10 = k10_[i];
-            const double k12 = k12_[i];
-            const double k21 = k21_[i];
-            const double ke0 = ke0_[i];
-            const double v1 = v1_[i];
+            const double u_mg_per_min = L.rate_mg_h / 60.0;
+            const double k10 = L.k10;
+            const double k12 = L.k12;
+            const double k21 = L.k21;
+            const double ke0 = L.ke0;
+            const double v1 = L.v1;
 
             auto f = [&](double a1, double a2, double ce) -> Deriv {
                 const double c1 = a1 * 1000.0 / v1;
@@ -139,127 +142,116 @@ void PatientBatch::step_range(std::size_t first, std::size_t last,
                 };
             };
 
-            const Deriv k1 = f(a1_[i], a2_[i], ce_[i]);
-            const Deriv k2 = f(a1_[i] + 0.5 * dt_min * k1.da1,
-                               a2_[i] + 0.5 * dt_min * k1.da2,
-                               ce_[i] + 0.5 * dt_min * k1.dce);
-            const Deriv k3 = f(a1_[i] + 0.5 * dt_min * k2.da1,
-                               a2_[i] + 0.5 * dt_min * k2.da2,
-                               ce_[i] + 0.5 * dt_min * k2.dce);
-            const Deriv k4 = f(a1_[i] + dt_min * k3.da1,
-                               a2_[i] + dt_min * k3.da2,
-                               ce_[i] + dt_min * k3.dce);
+            const Deriv k1 = f(L.a1, L.a2, L.ce);
+            const Deriv k2 = f(L.a1 + 0.5 * dt_min * k1.da1,
+                               L.a2 + 0.5 * dt_min * k1.da2,
+                               L.ce + 0.5 * dt_min * k1.dce);
+            const Deriv k3 = f(L.a1 + 0.5 * dt_min * k2.da1,
+                               L.a2 + 0.5 * dt_min * k2.da2,
+                               L.ce + 0.5 * dt_min * k2.dce);
+            const Deriv k4 = f(L.a1 + dt_min * k3.da1, L.a2 + dt_min * k3.da2,
+                               L.ce + dt_min * k3.dce);
 
-            const double a1_before = a1_[i];
-            const double a2_before = a2_[i];
-            a1_[i] += dt_min / 6.0 * (k1.da1 + 2 * k2.da1 + 2 * k3.da1 + k4.da1);
-            a2_[i] += dt_min / 6.0 * (k1.da2 + 2 * k2.da2 + 2 * k3.da2 + k4.da2);
-            ce_[i] += dt_min / 6.0 * (k1.dce + 2 * k2.dce + 2 * k3.dce + k4.dce);
-            if (a1_[i] < 0) a1_[i] = 0;
-            if (a2_[i] < 0) a2_[i] = 0;
-            if (ce_[i] < 0) ce_[i] = 0;
+            const double a1_before = L.a1;
+            const double a2_before = L.a2;
+            L.a1 += dt_min / 6.0 * (k1.da1 + 2 * k2.da1 + 2 * k3.da1 + k4.da1);
+            L.a2 += dt_min / 6.0 * (k1.da2 + 2 * k2.da2 + 2 * k3.da2 + k4.da2);
+            L.ce += dt_min / 6.0 * (k1.dce + 2 * k2.dce + 2 * k3.dce + k4.dce);
+            if (L.a1 < 0) L.a1 = 0;
+            if (L.a2 < 0) L.a2 = 0;
+            if (L.ce < 0) L.ce = 0;
 
             const double input_mg = u_mg_per_min * dt_min;
-            delivered_[i] += input_mg;
+            L.delivered += input_mg;
             const double eliminated =
-                input_mg - ((a1_[i] - a1_before) + (a2_[i] - a2_before));
-            if (eliminated > 0) eliminated_[i] += eliminated;
+                input_mg - ((L.a1 - a1_before) + (L.a2 - a2_before));
+            if (eliminated > 0) L.eliminated += eliminated;
         }
 
         // --- Antagonist decay (Patient::step).
-        if (antag_level_[i] > 0) {
-            antag_level_[i] *=
-                std::exp(-dt * 0.6931471805599453 / antag_hl_[i]);
-            if (antag_level_[i] < 1e-4) antag_level_[i] = 0.0;
+        if (L.antag_level > 0) {
+            L.antag_level *= std::exp(-dt * 0.6931471805599453 / L.antag_hl);
+            if (L.antag_level < 1e-4) L.antag_level = 0.0;
         }
 
         // --- Respiration (Patient::step_respiration, no ventilator path).
         {
-            const double eff_ec50 =
-                ec50_[i] * (1.0 + antag_potency_[i] * antag_level_[i]);
-            // hill_effect inlined with the antagonist-scaled EC50.
+            // hill_effect inlined with the antagonist-scaled EC50. Without
+            // an antagonist the scale is exactly 1, the scaled EC50 is ec50
+            // itself and its cached power is the scalar value.
             double effect = 0.0;
-            const double c = ce_[i];
+            const double c = L.ce;
             if (c > 0) {
-                const double num = std::pow(c, gamma_[i]);
-                effect = emax_[i] * num / (num + std::pow(eff_ec50, gamma_[i]));
+                const double scale = 1.0 + L.antag_potency * L.antag_level;
+                const double ec50_pow =
+                    scale == 1.0
+                        ? L.ec50_pow
+                        : std::pow(params_[i].pd.ec50_ng_ml * scale, L.gamma);
+                const double num = std::pow(c, L.gamma);
+                effect = L.emax * num / (num + ec50_pow);
             }
             double drive = 1.0 - effect;
-            const double co2_excess = std::max(
-                0.0, (paco2_[i] - base_paco2_[i]) / base_paco2_[i]);
-            drive *= 1.0 + co2_gain_[i] * co2_excess;
+            const double co2_excess =
+                std::max(0.0, (L.paco2 - L.base_paco2) / L.base_paco2);
+            drive *= 1.0 + L.co2_gain * co2_excess;
             drive = std::clamp(drive, 0.0, 1.5);
-            drive_[i] = drive;
+            L.drive = drive;
 
-            if (drive < apnea_thresh_[i]) {
-                rr_[i] = 0.0;
-                tidal_[i] = 0.0;
+            if (drive < L.apnea_thresh) {
+                L.rr = 0.0;
+                L.tidal = 0.0;
             } else {
-                const double target_rr = base_rr_[i] * std::pow(drive, 0.7);
-                const double target_vt = base_vt_[i] * std::pow(drive, 0.3);
-                const double alpha = 1.0 - std::exp(-dt / 15.0);
-                rr_[i] += alpha * (target_rr - rr_[i]);
-                tidal_[i] += alpha * (target_vt - tidal_[i]);
+                const double target_rr = L.base_rr * std::pow(drive, 0.7);
+                const double target_vt = L.base_vt * std::pow(drive, 0.3);
+                L.rr += alpha * (target_rr - L.rr);
+                L.tidal += alpha * (target_vt - L.tidal);
             }
         }
 
         // --- Gas exchange (Patient::step_gas_exchange).
         {
             const double va =
-                rr_[i] * std::max(0.0, tidal_[i] - deadspace_[i]) / 1000.0;
+                L.rr * std::max(0.0, L.tidal - L.deadspace) / 1000.0;
             const double va_base =
-                base_rr_[i] * (base_vt_[i] - deadspace_[i]) / 1000.0;
+                L.base_rr * (L.base_vt - L.deadspace) / 1000.0;
 
             if (va < 0.05 * va_base) {
-                paco2_[i] += apnea_rise_[i] * dt;
+                L.paco2 += L.apnea_rise * dt;
             } else {
                 const double paco2_eq =
-                    std::min(130.0, base_paco2_[i] * va_base / va);
-                paco2_[i] += (paco2_eq - paco2_[i]) *
-                             (1.0 - std::exp(-dt / tau_co2_[i]));
+                    std::min(130.0, L.base_paco2 * va_base / va);
+                L.paco2 += (paco2_eq - L.paco2) * L.f_co2;
             }
-            paco2_[i] = std::clamp(paco2_[i], 15.0, 140.0);
+            L.paco2 = std::clamp(L.paco2, 15.0, 140.0);
 
             double pao2_eq =
-                fio2_[i] * (760.0 - 47.0) - paco2_[i] / 0.8 - aa_grad_[i];
+                L.fio2 * (760.0 - 47.0) - L.paco2 / 0.8 - L.aa_grad;
             if (va < 0.05 * va_base) pao2_eq = 30.0;
             pao2_eq = std::max(20.0, pao2_eq);
-            pao2_[i] += (pao2_eq - pao2_[i]) *
-                        (1.0 - std::exp(-dt / tau_o2_[i]));
+            L.pao2 += (pao2_eq - L.pao2) * L.f_o2;
 
-            spo2_[i] = severinghaus_spo2(pao2_[i]);
+            L.spo2 = severinghaus_spo2(L.pao2);
         }
 
         // --- Cardio (Patient::step_cardio).
         {
-            double target = base_hr_[i];
-            const double desat = std::max(0.0, 96.0 - spo2_[i]);
-            if (spo2_[i] > severe_spo2_[i]) {
-                target += hypox_gain_[i] * desat;
+            double target = L.base_hr;
+            const double desat = std::max(0.0, 96.0 - L.spo2);
+            if (L.spo2 > L.severe_spo2) {
+                target += L.hypox_gain * desat;
             } else {
-                target = std::max(25.0, base_hr_[i] - 1.5 * desat);
+                target = std::max(25.0, L.base_hr - 1.5 * desat);
             }
-            hr_[i] += (target - hr_[i]) * (1.0 - std::exp(-dt / tau_hr_[i]));
+            L.hr += (target - L.hr) * L.f_hr;
         }
 
-        elapsed_[i] += dt;
+        L.elapsed += dt;
     }
 }
 
 std::size_t PatientBatch::state_bytes() const noexcept {
-    std::size_t bytes = 0;
-    for (const auto* v :
-         {&v1_, &k10_, &k12_, &k21_, &ke0_, &ec50_, &gamma_, &emax_,
-          &base_rr_, &base_vt_, &deadspace_, &base_paco2_, &fio2_, &aa_grad_,
-          &tau_co2_, &tau_o2_, &apnea_thresh_, &co2_gain_, &apnea_rise_,
-          &base_hr_, &hypox_gain_, &severe_spo2_, &tau_hr_, &a1_, &a2_, &ce_,
-          &delivered_, &eliminated_, &rate_mg_h_, &antag_level_,
-          &antag_potency_, &antag_hl_, &drive_, &rr_, &tidal_, &paco2_,
-          &pao2_, &spo2_, &hr_, &elapsed_}) {
-        bytes += v->capacity() * sizeof(double);
-    }
-    bytes += params_.capacity() * sizeof(PatientParameters);
-    return bytes;
+    return lanes_.capacity() * sizeof(Lane) +
+           params_.capacity() * sizeof(PatientParameters);
 }
 
 }  // namespace mcps::physio

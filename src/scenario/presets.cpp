@@ -172,6 +172,8 @@ std::vector<std::pair<std::string, double>> hospital_outcome(
         {"min_spo2", r.min_spo2.min()},  // fleet-wide floor, the common key
         {"drug_mg_mean", r.drug_mg.mean()},
         {"drug_mg_max", r.drug_mg.max()},
+        // state_mib is part of the pinned outcome digest, so any change
+        // in PatientBatch's bytes per lane is a pin change.
         {"state_mib",
          static_cast<double>(r.state_bytes) / (1024.0 * 1024.0)},
     };

@@ -218,7 +218,7 @@ TEST(HospitalEngine, StateBytesScalesWithPopulationNotEvents) {
     cfg.wards = 8;
     const HospitalReport big = HospitalEngine{cfg}.run();
     EXPECT_GT(big.state_bytes, small.state_bytes);
-    // ~10x patients must stay within ~20x bytes (SoA lanes + control
+    // ~10x patients must stay within ~20x bytes (batch lanes + control
     // arrays are linear; ward buffers add a bounded constant per ward).
     EXPECT_LT(big.state_bytes, 20u * small.state_bytes);
     // Population scale stays flat overall: under 2 MiB for ~1000

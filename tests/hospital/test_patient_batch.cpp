@@ -1,5 +1,5 @@
 /// \file test_patient_batch.cpp
-/// \brief SoA differential wall: `physio::PatientBatch` must be
+/// \brief Batch differential wall: `physio::PatientBatch` must be
 /// BIT-IDENTICAL to the scalar `physio::Patient` it batches.
 ///
 /// The batch exists purely for throughput — it replicates the scalar
@@ -15,7 +15,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <latch>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "physio/patient.hpp"
@@ -153,6 +155,106 @@ TEST(PatientBatchDifferential, EquilibriumInitializationMatchesScalarCtor) {
         const Patient p{params[i]};
         expect_bit_identical(p, batch, i, "t=0");
     }
+}
+
+// ------------------------------------------------- cached factors ----
+//
+// The batch computes each lane's 1 - exp(-dt/tau) factors once per dt
+// and pow(ec50, gamma) once per lane. These cases drive the paths where
+// such a cache could go stale.
+
+/// Scalar patients plus a batch over the same cohort, every lane on the
+/// hospital default infusion so the Hill pow branch runs from tick one.
+struct Twin {
+    std::vector<Patient> scalars;
+    PatientBatch batch;
+
+    explicit Twin(const std::vector<PatientParameters>& params) {
+        const InfusionRate rate = InfusionRate::mg_per_hour(0.5);
+        for (const auto& p : params) {
+            scalars.emplace_back(p);
+            scalars.back().set_infusion_rate(rate);
+            const std::size_t i = batch.add(p);
+            batch.set_infusion_rate(i, rate);
+        }
+    }
+    void step(double dt) {
+        batch.step_all(dt);
+        for (auto& p : scalars) p.step(dt);
+    }
+    void expect_identical(const char* when) const {
+        for (std::size_t i = 0; i < scalars.size(); ++i) {
+            expect_bit_identical(scalars[i], batch, i, when);
+        }
+    }
+};
+
+TEST(PatientBatchDifferential, TimestepChangeMidRunRefreshesFactors) {
+    Twin twin{cohort(31, 12)};
+    twin.scalars[2].bolus(Dose::mg(2.0));
+    twin.batch.bolus(2, Dose::mg(2.0));
+    for (int tick = 0; tick < 300; ++tick) twin.step(1.0);
+    twin.expect_identical("dt=1.0");
+    for (int tick = 0; tick < 400; ++tick) twin.step(0.25);
+    twin.expect_identical("dt=1.0 -> 0.25");
+    for (int tick = 0; tick < 300; ++tick) twin.step(1.0);
+    twin.expect_identical("dt=1.0 -> 0.25 -> 1.0");
+    // Lanes added after the factors exist get them for the current dt.
+    const PatientParameters late = cohort(32, 1).front();
+    twin.scalars.emplace_back(late);
+    twin.scalars.back().bolus(Dose::mg(2.0));
+    const std::size_t i = twin.batch.add(late);
+    twin.batch.bolus(i, Dose::mg(2.0));
+    for (int tick = 0; tick < 120; ++tick) twin.step(1.0);
+    twin.expect_identical("late lane");
+}
+
+TEST(PatientBatchDifferential, AntagonistDecayReturnsToCachedEc50Power) {
+    Twin twin{cohort(41, 6)};
+    for (std::size_t i = 0; i < twin.scalars.size(); ++i) {
+        twin.scalars[i].bolus(Dose::mg(3.0));
+        twin.batch.bolus(i, Dose::mg(3.0));
+    }
+    for (int tick = 0; tick < 120; ++tick) twin.step(1.0);
+    // A short half-life so the level falls below 1e-4 (and snaps to 0)
+    // within the run.
+    twin.scalars[1].give_antagonist(8.0, 60.0);
+    twin.batch.give_antagonist(1, 8.0, 60.0);
+    for (int tick = 0; tick < 300; ++tick) twin.step(1.0);
+    ASSERT_GT(twin.batch.antagonist_level(1), 0.0);
+    twin.expect_identical("antagonist active");
+    for (int tick = 0; tick < 900; ++tick) twin.step(1.0);
+    ASSERT_EQ(twin.batch.antagonist_level(1), 0.0);
+    ASSERT_GT(twin.batch.effect_site(1).as_ng_per_ml(), 0.0);
+    twin.expect_identical("antagonist decayed");
+    for (int tick = 0; tick < 300; ++tick) twin.step(1.0);
+    twin.expect_identical("after decay");
+}
+
+TEST(PatientBatch, ConcurrentFirstStepMatchesSerialStepping) {
+    // The hospital engine's wards make a fresh batch's first step_range
+    // calls from several threads at once; exactly one of them computes
+    // the factors and none steps a lane before they exist.
+    constexpr std::size_t kThreads = 4;
+    Twin twin{cohort(51, 40)};
+    const std::size_t n = twin.scalars.size();
+    auto step_concurrently = [&](double dt) {
+        std::latch start{kThreads};
+        std::vector<std::thread> threads;
+        for (std::size_t t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                start.arrive_and_wait();
+                twin.batch.step_range(n * t / kThreads,
+                                      n * (t + 1) / kThreads, dt);
+            });
+        }
+        for (auto& th : threads) th.join();
+        for (auto& p : twin.scalars) p.step(dt);
+    };
+    for (int tick = 0; tick < 30; ++tick) step_concurrently(1.0);
+    twin.expect_identical("concurrent dt=1.0");
+    for (int tick = 0; tick < 30; ++tick) step_concurrently(0.5);
+    twin.expect_identical("concurrent dt=0.5");
 }
 
 // ------------------------------------------- lane-range independence ----

@@ -13,7 +13,7 @@
 # --pr selects the campaign (default 6, the kernel-speed campaign):
 #   --pr 6   bench_micro_kernel + bench_e10_ward_scale vs the frozen
 #            pre-calendar-queue kernel -> BENCH_6.json
-#   --pr 9   bench_physio_batch (SoA physio stepping + hospital engine)
+#   --pr 9   bench_physio_batch (batched physio stepping + hospital engine)
 #            vs the frozen scalar-stepping reference -> BENCH_9.json
 #
 # --quick shrinks the workloads (smoke mode: validates the flow, the
@@ -85,7 +85,7 @@ def by_name(report):
 
 ref_m, live_m = by_name(ref), by_name(live)
 # The frozen reference is the scalar (pre-change) stepping rate; the
-# campaign's headline is the SoA batch measured against it.
+# campaign's headline is the batch measured against it.
 speedup = {}
 if ref_m.get("physio.steps_per_sec", 0) > 0:
     pre = ref_m["physio.steps_per_sec"]

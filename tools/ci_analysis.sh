@@ -16,15 +16,17 @@
 #                            the service suite (protocol fuzz, cache,
 #                            admission, e2e), the shared-metrics stress
 #                            suite, the hospital-population suite
-#                            (SoA physio differential, jobs invariance,
+#                            (batch physio differential, jobs invariance,
 #                            alarm storm, hospital fuzz smoke) and the
 #                            pipeline suite (artifact cache, graph
 #                            scheduling, cold/warm/parallel determinism,
 #                            knob-edit invalidation, CLI drift guard)
 #   4. clang-tidy:           tools/run_tidy.sh (SKIPPED if not installed)
-#   5. bench smoke:          tools/bench_baseline.sh --quick and
-#                            tools/bench_serve.sh --quick (validate the
-#                            --json flows; numbers are not checked)
+#   5. bench smoke:          tools/bench_baseline.sh --quick for the
+#                            kernel and physio campaigns, the serve load
+#                            and pipeline --json flows, and the
+#                            hospital-small preset at jobs=4 (numbers are
+#                            not checked)
 #   6. ASan+UBSan:           full test suite under address+undefined
 #   7. TSan:                 ward-engine + kernel + serve + obs +
 #                            hospital suites under thread sanitizer (the
@@ -89,6 +91,11 @@ stage "5/7 bench baseline smoke (--quick)"
 "${repo_root}/tools/bench_baseline.sh" --quick \
     --out "${repo_root}/build-ci-werror/BENCH_smoke.json" >/dev/null
 echo "bench baseline smoke: OK"
+# Physio micro-bench smoke: scalar Patient vs PatientBatch stepping plus
+# hospital-engine throughput, so bench_physio_batch stays runnable.
+"${repo_root}/tools/bench_baseline.sh" --pr 9 --quick \
+    --out "${repo_root}/build-ci-werror/BENCH_physio_smoke.json" >/dev/null
+echo "physio bench smoke: OK"
 # Serve-layer smoke: an embedded server + load sweep over loopback TCP
 # (uses the werror tree's binaries; validates the BENCH_7 --json flow).
 "${repo_root}/build-ci-werror/tools/mcps_load" --embed --quick \
@@ -97,9 +104,11 @@ echo "bench baseline smoke: OK"
     "${repo_root}/build-ci-werror/BENCH_serve_smoke.json" >/dev/null
 echo "serve load smoke: OK"
 # Hospital-population smoke: the preset must run end-to-end on the
-# mcps_run surface (96 patients / 4 wards, 2 simulated minutes).
+# mcps_run surface (96 patients / 4 wards, 2 simulated minutes), with
+# four ward workers so a fresh PatientBatch takes its first step from
+# several threads at once.
 "${repo_root}/build-ci-werror/tools/mcps_run" run \
-    --spec "hospital-small minutes=2" >/dev/null
+    --spec "hospital-small minutes=2 jobs=4" >/dev/null
 echo "hospital preset smoke: OK"
 # Pipeline smoke: the unified driver's determinism gate (serial-cold vs
 # parallel-cold vs warm-from-cache manifests) over a mixed graph, plus
@@ -172,7 +181,7 @@ ctest --test-dir "${repo_root}/build-ci-tsan" \
 ctest --test-dir "${repo_root}/build-ci-tsan" \
     -L obs --output-on-failure
 # Hospital population engine under TSan: the jobs-invariance tests step
-# the same hospital with 1/4/16 ward workers and the SoA differential
+# the same hospital with 1/4/16 ward workers and the batch differential
 # suite runs alongside — any cross-ward data race in the batched
 # stepping or the mergeable-histogram reduction surfaces here.
 ctest --test-dir "${repo_root}/build-ci-tsan" \

@@ -140,7 +140,10 @@ pipeline::PipelineGraph build_graph(const PipelineCli& cli) {
     }
     std::vector<std::string> ward_ids;
     for (std::size_t i = 0; i < cli.wards.size(); ++i) {
-        const std::string id = "w" + std::to_string(i + 1);
+        // Two-step concatenation sidesteps GCC 12's -Wrestrict false
+        // positive on `const char* + std::string&&` (GCC bug 105329).
+        std::string id{"w"};
+        id += std::to_string(i + 1);
         ward_ids.push_back(id);
         pipeline::add_ward_pass(g, id,
                                 pipeline::parse_ward_config(cli.wards[i]));
