@@ -10,9 +10,9 @@
 ///     (in-place re-arm path; zero allocations per firing).
 ///   - churn: 200k randomized-deadline events, every other one
 ///     cancelled via its EventHandle before the drain.
-///   - churn90: the cancel-heavy variant (9 of 10 events cancelled),
-///     the tombstone-pop worst case the calendar queue's lazy
-///     compaction targets.
+///   - churn90: the cancel-heavy variant (9 of 10 events cancelled);
+///     every cancelled event is still popped from the kernel's heap and
+///     released one by one, so this is the cancel worst case.
 ///   - bus: 64 subscribers x 20k publishes over an ideal channel
 ///     (pooled messages + inline delivery callbacks).
 ///
@@ -22,8 +22,8 @@
 /// warm rep (both must be 0 in steady state).
 ///
 /// The reference numbers this bench is compared against live in
-/// bench/baselines/ (captured on the pre-calendar-queue kernel with the
-/// exact same workload constants); tools/bench_baseline.sh computes the
+/// bench/baselines/ (captured on the heap + per-event-`new` kernel that
+/// preceded the arena, with the exact same workload constants); tools/bench_baseline.sh computes the
 /// speedup and writes BENCH_<n>.json.
 
 #include <algorithm>
@@ -116,9 +116,6 @@ double run_churn() {
     return seconds_since(t0);
 }
 
-std::uint64_t g_churn90_compactions = 0;
-std::uint64_t g_churn90_tombstones_compacted = 0;
-
 double run_churn90() {
     g_arena.reset();
     const auto t0 = Clock::now();
@@ -132,10 +129,7 @@ double run_churn90() {
         if (i % 10 != 0) handles.back().cancel();
     }
     s.run_all();
-    const double elapsed = seconds_since(t0);
-    g_churn90_compactions = s.queue_compactions();
-    g_churn90_tombstones_compacted = s.tombstones_compacted();
-    return elapsed;
+    return seconds_since(t0);
 }
 
 /// Pool slot allocations observed during the most recent bus rep after
@@ -223,11 +217,6 @@ int main(int argc, char** argv) {
     report.metric("churn_events_per_sec_core", ch_eps, "events/sec/core");
     report.metric("churn_cancel90_events_per_sec_core", ch90_eps,
                   "events/sec/core");
-    report.metric("churn_cancel90_compactions",
-                  static_cast<double>(g_churn90_compactions), "sweeps/rep");
-    report.metric("churn_cancel90_tombstones_compacted",
-                  static_cast<double>(g_churn90_tombstones_compacted),
-                  "events/rep");
     report.metric("bus_deliveries_per_sec_core", bp_eps, "events/sec/core");
     report.metric("steady_state_arena_heap_allocs", steady_heap_allocs,
                   "allocs/rep");

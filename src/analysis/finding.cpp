@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
+
+#include "obs/format.hpp"
 
 namespace mcps::analysis {
 
@@ -177,35 +178,11 @@ std::string AnalysisReport::to_text() const {
     return out;
 }
 
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
 void AnalysisReport::write_json(std::ostream& out) const {
     out << "{\n  \"tool\": \"mcps_analyze\",\n";
     out << "  \"analyzed\": [";
     for (std::size_t i = 0; i < analyzed.size(); ++i) {
-        out << (i ? ", " : "") << '"' << json_escape(analyzed[i]) << '"';
+        out << (i ? ", " : "") << '"' << obs::json_escape(analyzed[i]) << '"';
     }
     out << "],\n";
     out << "  \"errors\": " << errors() << ",\n";
@@ -216,10 +193,10 @@ void AnalysisReport::write_json(std::ostream& out) const {
         const Finding& f = findings[i];
         out << "    {\"rule\": \"" << rule_name(f.rule) << "\", "
             << "\"severity\": \"" << to_string(f.severity) << "\", "
-            << "\"entity\": \"" << json_escape(f.entity) << "\", "
-            << "\"file\": \"" << json_escape(f.file) << "\", "
+            << "\"entity\": \"" << obs::json_escape(f.entity) << "\", "
+            << "\"file\": \"" << obs::json_escape(f.file) << "\", "
             << "\"line\": " << f.line << ", "
-            << "\"message\": \"" << json_escape(f.message) << "\"}"
+            << "\"message\": \"" << obs::json_escape(f.message) << "\"}"
             << (i + 1 < findings.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

@@ -7,6 +7,8 @@
 #include <set>
 #include <vector>
 
+#include "obs/format.hpp"
+
 namespace mcps::analysis {
 
 // ---- writer ----------------------------------------------------------------
@@ -24,7 +26,7 @@ void write_sarif(const AnalysisReport& report, std::ostream& out) {
     for (std::size_t i = 0; i < rules.size(); ++i) {
         out << "            {\"id\": \"" << rule_name(rules[i]) << "\", "
             << "\"shortDescription\": {\"text\": \""
-            << json_escape(rule_summary(rules[i])) << "\"}}"
+            << obs::json_escape(rule_summary(rules[i])) << "\"}}"
             << (i + 1 < rules.size() ? "," : "") << "\n";
     }
     out << "          ]\n        }\n      },\n      \"results\": [\n";
@@ -34,12 +36,12 @@ void write_sarif(const AnalysisReport& report, std::ostream& out) {
             << "\"level\": \""
             << (f.severity == FindingSeverity::kError ? "error" : "warning")
             << "\", \"message\": {\"text\": \""
-            << json_escape(f.entity.empty() ? f.message
-                                            : f.entity + ": " + f.message)
+            << obs::json_escape(f.entity.empty() ? f.message
+                                                 : f.entity + ": " + f.message)
             << "\"}";
         if (!f.file.empty()) {
             out << ", \"locations\": [{\"physicalLocation\": "
-                << "{\"artifactLocation\": {\"uri\": \"" << json_escape(f.file)
+                << "{\"artifactLocation\": {\"uri\": \"" << obs::json_escape(f.file)
                 << "\"}";
             if (f.line > 0) {
                 out << ", \"region\": {\"startLine\": " << f.line << "}";

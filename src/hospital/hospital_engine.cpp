@@ -23,8 +23,6 @@ namespace mcps::hospital {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-
 constexpr std::uint64_t mix64(std::uint64_t h, std::uint64_t v) noexcept {
     h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
     return h;
@@ -99,7 +97,7 @@ struct WardResult {
     sim::Histogram bus_delay_hist{0.0, 30.0, 30};
     sim::Histogram alarm_wait_hist{0.0, 600.0, 60};
 
-    std::uint64_t fp = kFnvOffset;
+    std::uint64_t fp = sim::kFnvOffset;
 };
 
 /// Run body(w) for every ward in [0, count) across min(jobs, count)
@@ -211,7 +209,7 @@ HospitalReport HospitalEngine::run() const {
     parallel_wards(wards, cfg_.jobs, [&](std::size_t w) {
         const auto [first, last] = cfg_.ward_range(w);
         WardResult& R = results[w];
-        R.fp = mix64(kFnvOffset, static_cast<std::uint64_t>(w) + 1);
+        R.fp = mix64(sim::kFnvOffset, static_cast<std::uint64_t>(w) + 1);
 
         std::deque<BusMsg> bus;
         std::deque<Alarm> alarms;
@@ -374,7 +372,7 @@ HospitalReport HospitalEngine::run() const {
     rep.ticks = ticks;
 
     // Canonical reduction: ward order, never execution order.
-    std::uint64_t fp = mix64(kFnvOffset, cfg_.seed);
+    std::uint64_t fp = mix64(sim::kFnvOffset, cfg_.seed);
     fp = mix64(fp, n);
     fp = mix64(fp, wards);
     for (const WardResult& R : results) {

@@ -2,26 +2,9 @@
 
 #include <bit>
 
+#include "sim/rng.hpp"
+
 namespace mcps::obs {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-
-constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
-    h ^= v;
-    h *= 1099511628211ULL;
-    h ^= h >> 29;
-    return h;
-}
-
-std::uint64_t mix_string(std::uint64_t h, std::string_view s) noexcept {
-    h = mix(h, s.size());
-    for (char c : s) h = mix(h, static_cast<std::uint8_t>(c));
-    return h;
-}
-
-}  // namespace
 
 void EventLog::append(const EventLog& other) {
     events_.insert(events_.end(), other.events_.begin(), other.events_.end());
@@ -36,13 +19,13 @@ std::size_t EventLog::count(EventKind k) const noexcept {
 }
 
 std::uint64_t EventLog::fingerprint() const noexcept {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = sim::kFnvOffset;
     for (const auto& e : events_) {
-        h = mix(h, static_cast<std::uint64_t>(e.kind));
-        h = mix(h, static_cast<std::uint64_t>(e.time.ticks()));
-        h = mix_string(h, e.source);
-        h = mix_string(h, e.detail);
-        h = mix(h, std::bit_cast<std::uint64_t>(e.value));
+        h = sim::hash_mix(h, static_cast<std::uint64_t>(e.kind));
+        h = sim::hash_mix(h, static_cast<std::uint64_t>(e.time.ticks()));
+        h = sim::hash_mix_string(h, e.source);
+        h = sim::hash_mix_string(h, e.detail);
+        h = sim::hash_mix(h, std::bit_cast<std::uint64_t>(e.value));
     }
     return h;
 }

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 namespace mcps::obs {
 
@@ -28,9 +29,11 @@ namespace mcps::obs {
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
-/// Event sources/details are topic-like ASCII, but the exporter must
-/// stay correct for arbitrary content.
-[[nodiscard]] inline std::string json_escape(const std::string& s) {
+/// The one escaper for every JSON writer in the tree (obs exporters,
+/// serve protocol, analysis findings/SARIF). Input is passed through
+/// byte for byte otherwise, so it must stay correct for arbitrary
+/// content.
+[[nodiscard]] inline std::string json_escape(std::string_view s) {
     std::string out;
     out.reserve(s.size() + 2);
     for (char c : s) {

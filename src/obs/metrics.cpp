@@ -5,28 +5,10 @@
 #include <stdexcept>
 
 #include "format.hpp"
+#include "sim/rng.hpp"
 #include "sim/table.hpp"
 
 namespace mcps::obs {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-
-constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
-    h ^= v;
-    h *= 1099511628211ULL;
-    h ^= h >> 29;
-    return h;
-}
-
-std::uint64_t mix_string(std::uint64_t h, std::string_view s) noexcept {
-    h = mix(h, s.size());
-    for (char c : s) h = mix(h, static_cast<std::uint8_t>(c));
-    return h;
-}
-
-}  // namespace
 
 Counter& MetricsRegistry::counter(const std::string& name) {
     return counters_[name];
@@ -147,22 +129,22 @@ void MetricsRegistry::write_json(std::ostream& os) const {
 }
 
 std::uint64_t MetricsRegistry::fingerprint() const noexcept {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = sim::kFnvOffset;
     for (const auto& [name, c] : counters_) {
-        h = mix_string(h, name);
-        h = mix(h, c.value());
+        h = sim::hash_mix_string(h, name);
+        h = sim::hash_mix(h, c.value());
     }
     for (const auto& [name, g] : gauges_) {
-        h = mix_string(h, name);
-        h = mix(h, std::bit_cast<std::uint64_t>(g.value()));
-        h = mix(h, g.sets());
+        h = sim::hash_mix_string(h, name);
+        h = sim::hash_mix(h, std::bit_cast<std::uint64_t>(g.value()));
+        h = sim::hash_mix(h, g.sets());
     }
     for (const auto& [name, hist] : histograms_) {
-        h = mix_string(h, name);
-        h = mix(h, hist.underflow());
-        h = mix(h, hist.overflow());
+        h = sim::hash_mix_string(h, name);
+        h = sim::hash_mix(h, hist.underflow());
+        h = sim::hash_mix(h, hist.overflow());
         for (std::size_t i = 0; i < hist.bins(); ++i) {
-            h = mix(h, hist.bin_count(i));
+            h = sim::hash_mix(h, hist.bin_count(i));
         }
     }
     return h;

@@ -95,7 +95,9 @@ void Patient::give_antagonist(double potency, double half_life_s) {
 }
 
 void Patient::step(double dt_seconds) {
-    if (dt_seconds <= 0) throw std::invalid_argument("Patient::step: dt <= 0");
+    if (!std::isfinite(dt_seconds) || dt_seconds <= 0) {
+        throw std::invalid_argument("Patient::step: dt must be finite and > 0");
+    }
     pk_.step(dt_seconds, rate_);
     if (antagonist_level_ > 0) {
         antagonist_level_ *=

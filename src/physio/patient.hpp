@@ -107,7 +107,8 @@ class Patient {
 public:
     explicit Patient(PatientParameters params);
 
-    /// Advance physiology by \p dt_seconds (> 0, recommended <= 0.5 s).
+    /// Advance physiology by \p dt_seconds (finite and > 0, recommended
+    /// <= 0.5 s). \throws std::invalid_argument otherwise.
     void step(double dt_seconds);
 
     /// Drug inputs.

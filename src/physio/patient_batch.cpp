@@ -109,8 +109,10 @@ struct Deriv {
 
 void PatientBatch::step_range(std::size_t first, std::size_t last,
                               double dt_seconds) {
-    if (dt_seconds <= 0) {
-        throw std::invalid_argument("PatientBatch::step_range: dt <= 0");
+    // Before use_factors_for(): a bad dt must not refresh the factors.
+    if (!std::isfinite(dt_seconds) || dt_seconds <= 0) {
+        throw std::invalid_argument(
+            "PatientBatch::step_range: dt must be finite and > 0");
     }
     if (first > last || last > lanes_.size()) {
         throw std::out_of_range("PatientBatch::step_range: bad lane range");

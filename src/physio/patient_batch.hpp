@@ -65,8 +65,8 @@ public:
     void reserve(std::size_t n);
     [[nodiscard]] std::size_t size() const noexcept { return lanes_.size(); }
 
-    /// Advance lanes [first, last) by \p dt_seconds (> 0). Replicates
-    /// `Patient::step` per lane. Ranges must be in-bounds.
+    /// Advance lanes [first, last) by \p dt_seconds (finite and > 0).
+    /// Replicates `Patient::step` per lane. Ranges must be in-bounds.
     void step_range(std::size_t first, std::size_t last, double dt_seconds);
     /// Advance every lane.
     void step_all(double dt_seconds) { step_range(0, size(), dt_seconds); }

@@ -31,7 +31,9 @@ struct Deriv {
 }  // namespace
 
 void PkTwoCompartment::step(double dt_seconds, InfusionRate rate) {
-    if (dt_seconds <= 0) throw std::invalid_argument("step: dt must be > 0");
+    if (!std::isfinite(dt_seconds) || dt_seconds <= 0) {
+        throw std::invalid_argument("step: dt must be finite and > 0");
+    }
     if (rate < InfusionRate::zero()) {
         throw std::invalid_argument("step: negative infusion rate");
     }

@@ -3,8 +3,9 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
+
+#include "obs/format.hpp"
 
 namespace mcps::serve {
 
@@ -257,30 +258,6 @@ bool utf8_valid(std::string_view s) noexcept {
     return true;
 }
 
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        const auto u = static_cast<unsigned char>(c);
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (u < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", u);
-                    out += buf;
-                } else {
-                    out.push_back(c);
-                }
-        }
-    }
-    return out;
-}
-
 Request parse_request(std::string_view line) {
     if (!utf8_valid(line)) bad("request line is not valid UTF-8");
     Scan s{line};
@@ -391,7 +368,7 @@ std::string ok_run_response(std::string_view id, bool cached,
                             std::uint64_t queue_us, std::uint64_t run_us,
                             std::string_view artifacts_json) {
     std::ostringstream os;
-    os << "{\"id\":\"" << json_escape(id) << "\",\"status\":\"ok\""
+    os << "{\"id\":\"" << obs::json_escape(id) << "\",\"status\":\"ok\""
        << ",\"cached\":" << (cached ? "true" : "false")
        << ",\"queue_us\":" << queue_us << ",\"run_us\":" << run_us
        << ",\"artifacts\":" << artifacts_json << "}";
@@ -399,26 +376,26 @@ std::string ok_run_response(std::string_view id, bool cached,
 }
 
 std::string pong_response(std::string_view id) {
-    return "{\"id\":\"" + json_escape(id) +
+    return "{\"id\":\"" + obs::json_escape(id) +
            "\",\"status\":\"ok\",\"pong\":true}";
 }
 
 std::string stats_response(std::string_view id, std::string_view stats_json) {
-    return "{\"id\":\"" + json_escape(id) + "\",\"status\":\"ok\",\"stats\":" +
+    return "{\"id\":\"" + obs::json_escape(id) + "\",\"status\":\"ok\",\"stats\":" +
            std::string{stats_json} + "}";
 }
 
 std::string drain_response(std::string_view id) {
-    return "{\"id\":\"" + json_escape(id) +
+    return "{\"id\":\"" + obs::json_escape(id) +
            "\",\"status\":\"ok\",\"draining\":true}";
 }
 
 std::string error_response(std::string_view id, std::string_view status,
                            std::string_view code, std::string_view message) {
     std::ostringstream os;
-    os << "{\"id\":\"" << json_escape(id) << "\",\"status\":\"" << status
-       << "\",\"error\":{\"code\":\"" << json_escape(code)
-       << "\",\"message\":\"" << json_escape(message) << "\"}}";
+    os << "{\"id\":\"" << obs::json_escape(id) << "\",\"status\":\"" << status
+       << "\",\"error\":{\"code\":\"" << obs::json_escape(code)
+       << "\",\"message\":\"" << obs::json_escape(message) << "\"}}";
     return os.str();
 }
 

@@ -91,9 +91,6 @@ inline constexpr std::size_t kMaxIdBytes = 64;
 /// surrogates and out-of-range code points).
 [[nodiscard]] bool utf8_valid(std::string_view s) noexcept;
 
-/// JSON string-escape \p s (quotes, backslashes, control bytes).
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 /// Compact single-line rendering of run artifacts:
 /// {"spec":{...},"fingerprint":"0x...","outcome":{...}}. This is the
 /// byte-exact payload the result cache stores, so a cache hit replays

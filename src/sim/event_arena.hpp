@@ -13,10 +13,10 @@
 /// runs (bench steady-state, future campaign loops).
 ///
 /// Lifetime & determinism contract:
-///  - Node memory never moves: slabs grow by whole chunks, and the
-///    calendar queue threads intrusive bucket lists through the nodes'
-///    `next` field, so callbacks run in place and the queue itself
-///    allocates nothing per event.
+///  - Node memory never moves: slabs grow by whole chunks, so callbacks
+///    run in place. The kernel's heap holds (when, priority, seq, slot)
+///    keys rather than nodes, so a node is written once when scheduled
+///    and read again only when it is dispatched.
 ///  - EventHandle outlives everything safely: handles share ownership
 ///    of the slab (non-atomic intrusive refcount — the kernel and its
 ///    handles live on one thread) and validate a per-slot generation
@@ -164,12 +164,8 @@ private:
     bool heap_ = false;
 };
 
-/// Sentinel slot index ("no node").
-inline constexpr std::uint32_t kNoEvent = 0xFFFFFFFFu;
-
 /// One scheduled event. Nodes live in EventSlab chunks at stable
-/// addresses; the calendar queue refers to them by slot index and
-/// threads its bucket lists through `next`.
+/// addresses; the kernel's heap refers to them by slot index.
 struct EventNode {
     static constexpr std::uint8_t kLive = 1u << 0;
     static constexpr std::uint8_t kCancelled = 1u << 1;
@@ -179,7 +175,6 @@ struct EventNode {
     std::uint64_t seq = 0;
     SimDuration period;  ///< zero for one-shot events
     EventCallback cb;
-    std::uint32_t next = kNoEvent;  ///< intrusive calendar-bucket link
     std::uint32_t gen = 0;  ///< bumped on release; stale handles see a mismatch
     EventPriority prio = EventPriority::kDefault;
     std::uint8_t flags = 0;
@@ -211,30 +206,10 @@ public:
     /// Appends one chunk of default-constructed (empty) nodes.
     void grow() { chunks_.push_back(std::make_unique<EventNode[]>(kChunkSize)); }
 
-    /// Number of cancelled events still sitting in the pending queue
-    /// (tombstones). Lives on the slab — not the arena — because the
-    /// increment comes from EventHandle::cancel(), which only holds a
-    /// SlabRef. The calendar queue's lazy compaction triggers off this
-    /// count and recomputes it exactly (to zero) on every sweep, so a
-    /// stale value after a Simulation dies costs at most one no-op
-    /// sweep.
-    [[nodiscard]] std::uint64_t cancelled_queued() const noexcept {
-        return cancelled_queued_;
-    }
-    void note_cancelled() noexcept { ++cancelled_queued_; }
-    /// Saturating: a stale-counter no-op sweep may already have zeroed it.
-    void note_tombstone_popped() noexcept {
-        if (cancelled_queued_ > 0) --cancelled_queued_;
-    }
-    void set_cancelled_queued(std::uint64_t n) noexcept {
-        cancelled_queued_ = n;
-    }
-
 private:
     friend class SlabRef;
     std::vector<std::unique_ptr<EventNode[]>> chunks_;
     std::uint64_t refs_ = 0;
-    std::uint64_t cancelled_queued_ = 0;
 };
 
 /// Shared ownership of an EventSlab with a NON-ATOMIC refcount.
@@ -361,7 +336,6 @@ public:
 
 private:
     void release_all() noexcept {
-        slab_->set_cancelled_queued(0);
         if (live_ == 0) return;
         for (std::uint32_t idx = 0; idx < next_fresh_; ++idx) {
             EventNode& n = slab_->node(idx);

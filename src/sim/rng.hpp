@@ -21,13 +21,37 @@
 
 namespace mcps::sim {
 
+/// FNV-1a 64-bit offset basis: the start value of fnv1a64 and of every
+/// digest folded with hash_mix.
+inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+
 /// Stable 64-bit FNV-1a hash used to derive per-name substream seeds.
 [[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view s) noexcept {
-    std::uint64_t h = 14695981039346656037ULL;
+    std::uint64_t h = kFnvOffset;
     for (char c : s) {
         h ^= static_cast<std::uint8_t>(c);
         h *= 1099511628211ULL;
     }
+    return h;
+}
+
+/// Folds one 64-bit word into a digest: the FNV-1a xor-multiply step on
+/// the whole word, then an xor-shift so high bits reach the low ones.
+/// Trace, metrics, event-log and ward fingerprints are built from it and
+/// pinned byte for byte, so it must never change.
+[[nodiscard]] constexpr std::uint64_t hash_mix(std::uint64_t h,
+                                               std::uint64_t v) noexcept {
+    h ^= v;
+    h *= 1099511628211ULL;
+    h ^= h >> 29;
+    return h;
+}
+
+/// Folds \p s into a digest: its length, then each byte.
+[[nodiscard]] constexpr std::uint64_t hash_mix_string(std::uint64_t h,
+                                                      std::string_view s) noexcept {
+    h = hash_mix(h, s.size());
+    for (char c : s) h = hash_mix(h, static_cast<std::uint8_t>(c));
     return h;
 }
 

@@ -3,8 +3,7 @@
 
 #pragma once
 
-#include "calendar_queue.hpp"  // IWYU pragma: export
-#include "event_arena.hpp"     // IWYU pragma: export
+#include "event_arena.hpp"  // IWYU pragma: export
 #include "rng.hpp"         // IWYU pragma: export
 #include "simulation.hpp"  // IWYU pragma: export
 #include "stats.hpp"       // IWYU pragma: export

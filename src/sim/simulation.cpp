@@ -1,5 +1,6 @@
 #include "simulation.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace mcps::sim {
@@ -9,11 +10,9 @@ bool EventHandle::cancel() noexcept {
     if (n == nullptr) return false;
     if ((n->flags & EventNode::kCancelled) != 0) return false;
     if ((n->flags & EventNode::kFired) != 0 && !n->periodic()) return false;
+    // A queued node stays in the heap and is released when popped; a
+    // periodic mid-dispatch (kFired set) is released instead of re-armed.
     n->flags = static_cast<std::uint8_t>(n->flags | EventNode::kCancelled);
-    // kFired clear means the node is sitting in the pending queue (a
-    // periodic mid-dispatch carries kFired and is released on re-arm
-    // instead) — count it so the kernel can compact tombstones lazily.
-    if ((n->flags & EventNode::kFired) == 0) slab_->note_cancelled();
     return true;
 }
 
@@ -27,19 +26,20 @@ bool EventHandle::pending() const noexcept {
 Simulation::Simulation(std::uint64_t master_seed, EventArena* arena)
     : master_seed_{master_seed},
       owned_arena_{arena == nullptr ? std::make_unique<EventArena>() : nullptr},
-      arena_{arena != nullptr ? arena : owned_arena_.get()},
-      queue_{*arena_} {}
+      arena_{arena != nullptr ? arena : owned_arena_.get()} {}
 
 Simulation::~Simulation() {
     // Destroy the callbacks of still-pending events so captured
     // resources (message refs, device pointers) are released even when
     // the arena is external and outlives this run.
-    while (auto e = queue_.pop_if_at_most(SimTime::never().ticks())) {
-        arena_->release(e->idx);
-    }
-    // The queue is empty now; zero the tombstone count so a warm external
-    // arena handed to the next Simulation starts from a clean slate.
-    arena_->slab()->set_cancelled_queued(0);
+    for (const Pending& e : pending_) arena_->release(e.idx);
+}
+
+void Simulation::enqueue(std::uint32_t idx) {
+    const EventNode& n = arena_->node(idx);
+    pending_.push_back(Pending{n.when.ticks(), n.seq, idx,
+                               static_cast<std::int8_t>(n.prio)});
+    std::push_heap(pending_.begin(), pending_.end(), later);
 }
 
 EventHandle Simulation::push(SimTime when, EventPriority prio, Callback cb,
@@ -52,7 +52,7 @@ EventHandle Simulation::push(SimTime when, EventPriority prio, Callback cb,
     n.prio = prio;
     n.cb = std::move(cb);
     if (n.cb.on_heap()) arena_->note_heap_callback();
-    queue_.push(idx);
+    enqueue(idx);
     return EventHandle{arena_->slab(), idx, n.gen};
 }
 
@@ -92,7 +92,6 @@ EventHandle Simulation::schedule_periodic(SimDuration period, Callback cb,
 void Simulation::dispatch(std::uint32_t idx) {
     EventNode& n = arena_->node(idx);
     if ((n.flags & EventNode::kCancelled) != 0) {
-        arena_->slab()->note_tombstone_popped();
         arena_->release(idx);
         return;
     }
@@ -108,31 +107,20 @@ void Simulation::dispatch(std::uint32_t idx) {
     n.flags = static_cast<std::uint8_t>(n.flags & ~EventNode::kFired);
     n.when = now_ + n.period;
     n.seq = next_seq_++;
-    queue_.push(idx);
+    enqueue(idx);
 }
 
 void Simulation::drain(SimTime until) {
     running_ = true;
     stop_requested_ = false;
-    std::uint32_t tick = 0;
-    while (!stop_requested_) {
-        // Cancel-heavy workloads would otherwise pop every tombstone one
-        // by one (and sort them into every drain year first). When at
-        // least half the pending set is cancelled — and there are enough
-        // of them that a sweep amortizes — compact in one O(population)
-        // pass. Removed events never run, so dispatch order of live
-        // events is untouched. Checked every 256 pops so the cancel-free
-        // hot path pays nothing but a local counter increment.
-        if ((++tick & 0xFFu) == 0) {
-            const std::uint64_t tomb = arena_->slab()->cancelled_queued();
-            if (tomb >= kCompactMinTombstones && tomb * 2 >= queue_.size()) {
-                queue_.compact();
-            }
-        }
-        auto e = queue_.pop_if_at_most(until.ticks());
-        if (!e) break;
-        now_ = SimTime::at(SimDuration::micros(e->when));
-        dispatch(e->idx);
+    const std::int64_t limit = until.ticks();
+    while (!stop_requested_ && !pending_.empty() &&
+           pending_.front().when <= limit) {
+        std::pop_heap(pending_.begin(), pending_.end(), later);
+        const Pending e = pending_.back();
+        pending_.pop_back();
+        now_ = SimTime::at(SimDuration::micros(e.when));
+        dispatch(e.idx);
     }
     running_ = false;
 }

@@ -13,16 +13,18 @@
 /// total order.
 ///
 /// Hot-path architecture (see DESIGN.md "Sim-kernel speed"):
-///  - pending events live in a CalendarQueue (amortized O(1)
-///    enqueue/dequeue vs the former binary heap's O(log n));
+///  - pending events are a binary heap (std::push_heap/pop_heap) over a
+///    vector of (when, priority, seq, slot) keys; the keys live in the
+///    vector, so ordering a push or a pop never reads an event node;
 ///  - event nodes and their callbacks are arena-allocated (EventArena):
 ///    steady-state scheduling performs zero heap allocations, and
 ///    periodic events re-arm in place without any allocation at all;
+///  - cancel() only flags the node; a cancelled event stays in the heap
+///    and its slot is released when it is popped;
 ///  - an external EventArena can be supplied to keep slabs warm across
 ///    sequential runs (reset() between runs; see ArenaStats).
-/// None of this changes dispatch order: the calendar queue pops in
-/// exactly the (when, priority, seq) order the heap produced, which is
-/// what keeps golden traces and ward fingerprints byte-identical.
+/// Every seq is unique, so the heap pops exactly one total order, and
+/// golden traces and ward fingerprints stay byte-identical.
 
 #pragma once
 
@@ -30,8 +32,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
-#include "calendar_queue.hpp"
 #include "event_arena.hpp"
 #include "rng.hpp"
 #include "time.hpp"
@@ -151,28 +153,8 @@ public:
 
     /// Number of events currently pending (counting cancelled-but-queued).
     [[nodiscard]] std::size_t events_pending() const noexcept {
-        return queue_.size();
+        return pending_.size();
     }
-
-    /// Cancelled-but-still-queued events (tombstones). The drain loop
-    /// sweeps these out in one pass once they reach half the pending set
-    /// (and at least kCompactMinTombstones), instead of popping them one
-    /// by one.
-    [[nodiscard]] std::uint64_t tombstones_pending() const noexcept {
-        return arena_->slab()->cancelled_queued();
-    }
-    /// Compaction sweeps performed by this run's queue.
-    [[nodiscard]] std::uint64_t queue_compactions() const noexcept {
-        return queue_.compactions();
-    }
-    /// Tombstones removed by those sweeps (never dispatched as pops).
-    [[nodiscard]] std::uint64_t tombstones_compacted() const noexcept {
-        return queue_.tombstones_compacted();
-    }
-
-    /// Minimum tombstone population before the drain loop considers a
-    /// compaction sweep (amortizes the O(population) pass).
-    static constexpr std::uint64_t kCompactMinTombstones = 1024;
 
     /// Allocation counters of the backing arena (bench --json hooks).
     [[nodiscard]] const ArenaStats& arena_stats() const noexcept {
@@ -180,8 +162,24 @@ public:
     }
 
 private:
+    /// Heap key of one queued event; `idx` is its arena slot.
+    struct Pending {
+        std::int64_t when;
+        std::uint64_t seq;
+        std::uint32_t idx;
+        std::int8_t prio;
+    };
+    /// Heap comparator: true if \p a dispatches after \p b, so the heap
+    /// front is the smallest (when, prio, seq).
+    [[nodiscard]] static bool later(const Pending& a, const Pending& b) noexcept {
+        if (a.when != b.when) return a.when > b.when;
+        if (a.prio != b.prio) return a.prio > b.prio;
+        return a.seq > b.seq;
+    }
+
     EventHandle push(SimTime when, EventPriority prio, Callback cb,
                      SimDuration period);
+    void enqueue(std::uint32_t idx);
     void dispatch(std::uint32_t idx);
     void drain(SimTime until);
 
@@ -193,7 +191,7 @@ private:
     bool stop_requested_{false};
     std::unique_ptr<EventArena> owned_arena_;  ///< null when external
     EventArena* arena_;
-    CalendarQueue queue_;
+    std::vector<Pending> pending_;  ///< binary heap ordered by later()
 };
 
 }  // namespace mcps::sim

@@ -2,42 +2,25 @@
 
 #include <bit>
 
+#include "sim/rng.hpp"
+
 namespace mcps::testkit {
 
 using mcps::sim::SimDuration;
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-
-constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
-    h ^= v;
-    h *= 1099511628211ULL;
-    h ^= h >> 29;
-    return h;
-}
-
-std::uint64_t mix_string(std::uint64_t h, std::string_view s) noexcept {
-    h = mix(h, s.size());
-    for (char c : s) h = mix(h, static_cast<std::uint8_t>(c));
-    return h;
-}
-
-}  // namespace
-
 std::uint64_t trace_fingerprint(const mcps::sim::TraceRecorder& trace) {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = sim::kFnvOffset;
     for (const auto& name : trace.signal_names()) {
         const auto* sig = trace.find(name);
-        h = mix_string(h, name);
+        h = sim::hash_mix_string(h, name);
         for (const auto& s : sig->samples()) {
-            h = mix(h, static_cast<std::uint64_t>(s.time.ticks()));
-            h = mix(h, std::bit_cast<std::uint64_t>(s.value));
+            h = sim::hash_mix(h, static_cast<std::uint64_t>(s.time.ticks()));
+            h = sim::hash_mix(h, std::bit_cast<std::uint64_t>(s.value));
         }
     }
     for (const auto& m : trace.marks()) {
-        h = mix(h, static_cast<std::uint64_t>(m.time.ticks()));
-        h = mix_string(h, m.label);
+        h = sim::hash_mix(h, static_cast<std::uint64_t>(m.time.ticks()));
+        h = sim::hash_mix_string(h, m.label);
     }
     return h;
 }
@@ -93,15 +76,15 @@ PcaRunOutcome run_instrumented_pca(const core::PcaScenarioConfig& cfg,
 }
 
 std::uint64_t xray_result_fingerprint(const core::XrayScenarioResult& r) {
-    std::uint64_t h = kFnvOffset;
-    h = mix(h, r.procedures);
-    h = mix(h, r.completed);
-    h = mix(h, r.sharp_images);
-    h = mix(h, r.total_retries);
-    h = mix(h, r.safety_auto_resumes);
-    h = mix(h, std::bit_cast<std::uint64_t>(r.mean_apnea_s));
-    h = mix(h, std::bit_cast<std::uint64_t>(r.max_apnea_s));
-    h = mix(h, std::bit_cast<std::uint64_t>(r.min_spo2));
+    std::uint64_t h = sim::kFnvOffset;
+    h = sim::hash_mix(h, r.procedures);
+    h = sim::hash_mix(h, r.completed);
+    h = sim::hash_mix(h, r.sharp_images);
+    h = sim::hash_mix(h, r.total_retries);
+    h = sim::hash_mix(h, r.safety_auto_resumes);
+    h = sim::hash_mix(h, std::bit_cast<std::uint64_t>(r.mean_apnea_s));
+    h = sim::hash_mix(h, std::bit_cast<std::uint64_t>(r.max_apnea_s));
+    h = sim::hash_mix(h, std::bit_cast<std::uint64_t>(r.min_spo2));
     return h;
 }
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <latch>
@@ -305,6 +306,28 @@ TEST(PatientBatch, ValidationMatchesScalarContract) {
     // A rejected add must not leave a half-initialized lane behind.
     EXPECT_EQ(batch.size(), 1u);
     batch.step_all(1.0);
+}
+
+TEST(PatientBatch, NonFiniteDtIsRejectedBeforeAnyLaneMoves) {
+    const auto p = physio::nominal_parameters(Archetype::kTypicalAdult);
+    PatientBatch batch, twin;
+    for (PatientBatch* b : {&batch, &twin}) {
+        (void)b->add(p);
+        b->set_infusion_rate(0, InfusionRate::mg_per_hour(2.0));
+        b->step_all(0.25);
+    }
+    for (const double dt : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0}) {
+        EXPECT_THROW(batch.step_all(dt), std::invalid_argument);
+        EXPECT_THROW(batch.step_range(0, 1, dt), std::invalid_argument);
+    }
+    // The rejected calls left the lane exactly where its twin is.
+    batch.step_all(0.25);
+    twin.step_all(0.25);
+    EXPECT_EQ(batch.spo2_raw(0), twin.spo2_raw(0));
+    EXPECT_EQ(batch.paco2_mmhg(0), twin.paco2_mmhg(0));
+    EXPECT_EQ(batch.pao2_mmhg(0), twin.pao2_mmhg(0));
+    EXPECT_EQ(batch.respiratory_drive(0), twin.respiratory_drive(0));
+    EXPECT_TRUE(std::isfinite(batch.spo2_raw(0)));
 }
 
 TEST(PatientBatch, StateBytesIsFlatInDurationAndLinearInPatients) {

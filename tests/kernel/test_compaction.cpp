@@ -1,23 +1,27 @@
 /// \file test_compaction.cpp
-/// \brief Lazy tombstone compaction in the calendar queue.
+/// \brief Cancel semantics of queued events ("tombstones").
 ///
-/// A cancelled event stays queued as a tombstone until its timestamp is
-/// reached; a cancel-heavy workload used to pay one pop (and one drain
-/// sort slot) per tombstone. The drain loop now sweeps the whole queue
-/// in one pass once tombstones reach half the pending population (and
-/// at least Simulation::kCompactMinTombstones). These tests pin:
-///  - the sweep actually runs and removes the cancelled population;
-///  - dispatch order and fired-set are byte-identical with and without
-///    compaction in the loop (cancelled events never fire either way);
-///  - bookkeeping: tombstones_pending() rises with cancels, drops to
-///    zero after the sweep, and survives arena reuse/reset.
+/// cancel() only flags an event's node; the cancelled event stays in the
+/// kernel's heap until its turn comes, and dispatch() then releases its
+/// slot without running the callback. (The suite name is kept from the
+/// calendar-queue kernel, which swept tombstones out in bulk.) These
+/// tests pin:
+///  - a cancel-heavy population fires exactly its survivors, in the
+///    sorted order of their keys, identically run to run;
+///  - a Simulation destroyed with cancelled events still queued leaves
+///    a warm external arena with no live nodes;
+///  - a periodic event cancelling itself mid-dispatch is not pending
+///    and is never re-armed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/event_arena.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 
@@ -30,7 +34,7 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
     return h;
 }
 
-TEST(TombstoneCompaction, SweepRemovesCancelledPopulation) {
+TEST(TombstoneCompaction, CancelledPopulationNeverFires) {
     Simulation s{7};
     auto rng = s.rng("compact.sweep");
     constexpr std::size_t kEvents = 20000;
@@ -42,41 +46,18 @@ TEST(TombstoneCompaction, SweepRemovesCancelledPopulation) {
         handles.push_back(s.schedule_after(delay, [&fired] { ++fired; }));
         if (i % 10 != 0) handles.back().cancel();  // 90% tombstones
     }
-    EXPECT_EQ(s.tombstones_pending(), kEvents - kEvents / 10);
+    EXPECT_EQ(s.events_pending(), kEvents);  // tombstones stay queued
     s.run_all();
     EXPECT_EQ(fired, kEvents / 10);
-    EXPECT_GE(s.queue_compactions(), 1u);
-    // The sweep (not one-by-one pops) must have absorbed the bulk of the
-    // tombstones: at most 256 (one check interval) plus the ones popped
-    // before the threshold was crossed can slip through.
-    EXPECT_GT(s.tombstones_compacted(), (kEvents * 8) / 10);
-    EXPECT_EQ(s.tombstones_pending(), 0u);
+    EXPECT_EQ(s.events_dispatched(), kEvents / 10);
     EXPECT_EQ(s.events_pending(), 0u);
 }
 
-TEST(TombstoneCompaction, BelowThresholdNeverSweeps) {
-    Simulation s{7};
-    std::vector<EventHandle> handles;
-    // Fewer tombstones than kCompactMinTombstones: the sweep must not
-    // trigger no matter the cancel ratio.
-    for (std::size_t i = 0; i < Simulation::kCompactMinTombstones / 2; ++i) {
-        handles.push_back(s.schedule_after(
-            SimDuration::micros(static_cast<std::int64_t>(i + 1)), [] {}));
-        handles.back().cancel();
-    }
-    s.run_all();
-    EXPECT_EQ(s.queue_compactions(), 0u);
-    EXPECT_EQ(s.tombstones_pending(), 0u);
-}
-
-/// Order witness: the dispatch hash of the surviving events must not
-/// depend on whether the tombstones were swept or popped. We force both
-/// regimes with the same workload by scaling the population: small run
-/// (below threshold, pop path) vs the same schedule replicated enough to
-/// trigger sweeps — the per-event firing order of the common prefix is
-/// checked via a per-run hash of (index at dispatch).
+/// Order witness: the dispatch hash of the surviving events must be the
+/// same on every run and equal to the hash of the survivors sorted by
+/// (when, seq) — all events share one priority.
 TEST(TombstoneCompaction, DispatchOrderMatchesCancelSemantics) {
-    auto run = [](std::size_t events) {
+    auto run = [](std::uint32_t events) {
         Simulation s{42};
         auto rng = s.rng("compact.order");
         std::uint64_t hash = 0x6d637073ULL;
@@ -90,21 +71,26 @@ TEST(TombstoneCompaction, DispatchOrderMatchesCancelSemantics) {
             if (i % 4 != 0) handles.back().cancel();
         }
         s.run_all();
-        return std::pair{hash, s.queue_compactions()};
+        return hash;
     };
-    // Same seed, same RNG stream, same cancel pattern: the two runs
-    // schedule an identical prefix. Run it twice at the same size and
-    // require identical hashes AND at least one sweep, then once below
-    // the threshold with a prefix-truncated population to prove the
-    // pop path produces the hash its own re-run reproduces.
-    const auto big1 = run(20000);
-    const auto big2 = run(20000);
-    EXPECT_EQ(big1.first, big2.first);
-    EXPECT_GE(big1.second, 1u);
-    const auto small1 = run(1000);
-    const auto small2 = run(1000);
-    EXPECT_EQ(small1.first, small2.first);
-    EXPECT_EQ(small1.second, 0u);
+    auto reference = [](std::uint32_t events) {
+        RngStream rng{42, "compact.order"};
+        std::vector<std::pair<std::int64_t, std::uint32_t>> survivors;
+        for (std::uint32_t i = 0; i < events; ++i) {
+            const std::int64_t delay = rng.uniform_int(1, 1000000);
+            if (i % 4 == 0) survivors.emplace_back(delay, i);
+        }
+        std::sort(survivors.begin(), survivors.end());
+        std::uint64_t hash = 0x6d637073ULL;
+        for (const auto& e : survivors) hash = mix(hash, e.second);
+        return hash;
+    };
+    const std::uint64_t big = run(20000);
+    EXPECT_EQ(big, run(20000));
+    EXPECT_EQ(big, reference(20000));
+    const std::uint64_t small = run(1000);
+    EXPECT_EQ(small, run(1000));
+    EXPECT_EQ(small, reference(1000));
 }
 
 TEST(TombstoneCompaction, WarmArenaReuseStartsClean) {
@@ -117,19 +103,20 @@ TEST(TombstoneCompaction, WarmArenaReuseStartsClean) {
                 SimDuration::micros(static_cast<std::int64_t>(i + 1)), [] {}));
             handles.back().cancel();
         }
-        // Destroyed with tombstones still queued: the destructor drains
-        // the queue and must zero the slab's tombstone count.
+        EXPECT_EQ(arena.live_nodes(), 4096u);
+        // Destroyed with tombstones still queued: the destructor must
+        // release every one of their slots.
     }
-    EXPECT_EQ(arena.slab()->cancelled_queued(), 0u);
+    EXPECT_EQ(arena.live_nodes(), 0u);
     arena.reset();
     Simulation s2{9, &arena};
-    EXPECT_EQ(s2.tombstones_pending(), 0u);
+    EXPECT_EQ(s2.events_pending(), 0u);
     std::uint64_t fired = 0;
     auto h = s2.schedule_after(SimDuration::micros(5), [&fired] { ++fired; });
     (void)h;
     s2.run_all();
     EXPECT_EQ(fired, 1u);
-    EXPECT_EQ(s2.queue_compactions(), 0u);
+    EXPECT_EQ(arena.live_nodes(), 0u);
 }
 
 TEST(TombstoneCompaction, PeriodicCancelMidDispatchIsNotCounted) {
@@ -139,15 +126,16 @@ TEST(TombstoneCompaction, PeriodicCancelMidDispatchIsNotCounted) {
     self = s.schedule_periodic(SimDuration::micros(10), [&] {
         ++fired;
         // Cancel from inside the callback: the node is mid-dispatch
-        // (kFired set), not queued, so it must NOT enter the tombstone
-        // count — it is released on the re-arm check instead.
-        self.cancel();
-        EXPECT_EQ(s.tombstones_pending(), 0u);
+        // (kFired set) and out of the heap, so nothing is pending; it is
+        // released on the re-arm check instead of re-queued.
+        EXPECT_TRUE(self.cancel());
+        EXPECT_FALSE(self.pending());
+        EXPECT_EQ(s.events_pending(), 0u);
     });
     s.run_for(SimDuration::micros(100));
     EXPECT_EQ(fired, 1u);
     EXPECT_EQ(s.events_pending(), 0u);
-    EXPECT_EQ(s.tombstones_pending(), 0u);
+    EXPECT_FALSE(self.pending());
 }
 
 }  // namespace

@@ -1,24 +1,24 @@
 /// \file test_event_queue.cpp
-/// \brief Differential tests of the calendar queue against a reference
-/// std::priority_queue model.
+/// \brief Differential tests of the kernel's event order against a
+/// reference std::priority_queue model.
 ///
 /// The kernel's determinism contract is that dispatch order is EXACTLY
-/// ascending (when, priority, sequence) — the total order the former
-/// binary-heap scheduler produced. These tests drive the CalendarQueue
-/// (and the full Simulation) with randomized workloads and assert the
-/// pop order matches the reference comparator element-for-element, so
-/// any bucket-geometry bug that perturbs ordering fails loudly here
-/// instead of surfacing as a golden-trace diff.
+/// ascending (when, priority, sequence). These tests drive Simulation's
+/// public scheduling API with randomized workloads and assert the
+/// dispatch order matches the reference comparator element-for-element,
+/// so any heap-ordering bug fails loudly here instead of surfacing as a
+/// golden-trace diff.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
 #include "sim/event_arena.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
@@ -27,6 +27,8 @@
 namespace {
 
 using namespace mcps::sim;
+
+SimTime at_us(std::int64_t us) { return SimTime::at(SimDuration::micros(us)); }
 
 struct RefKey {
     std::int64_t when;
@@ -47,45 +49,50 @@ struct RefAfter {
 
 using RefQueue = std::priority_queue<RefKey, std::vector<RefKey>, RefAfter>;
 
-/// Pushes a node with the given key into both queues.
+/// Schedules every event into both a Simulation and the reference
+/// queue. Each callback records (its schedule order, the dispatch
+/// instant); since the harness is the only scheduler, schedule order is
+/// the kernel's seq.
 class DifferentialHarness {
 public:
     void push(std::int64_t when, std::int8_t prio) {
         const std::uint64_t seq = next_seq_++;
-        const std::uint32_t idx = arena_.acquire();
-        EventNode& n = arena_.node(idx);
-        n.when = SimTime::at(SimDuration::micros(when));
-        n.seq = seq;
-        n.prio = static_cast<EventPriority>(prio);
-        queue_.push(idx);
+        sim_.schedule_at(
+            at_us(when),
+            [this, seq] { dispatched_.emplace_back(seq, sim_.now().ticks()); },
+            static_cast<EventPriority>(prio));
         ref_.push(RefKey{when, seq, prio});
     }
 
-    /// Pops one entry from both queues and asserts the keys agree.
-    /// Returns false when both are empty.
-    [[nodiscard]] bool pop_and_compare() {
-        const auto e = queue_.pop_if_at_most(SimTime::never().ticks());
-        if (!e) {
-            EXPECT_TRUE(ref_.empty());
-            return false;
+    /// Runs the kernel to \p limit, pops the reference up to the same
+    /// limit, and asserts both dispatched the same keys in the same
+    /// order. Returns the number of events dispatched.
+    std::size_t run_until_and_compare(std::int64_t limit) {
+        dispatched_.clear();
+        sim_.run_until(at_us(limit));
+        std::size_t i = 0;
+        for (; !ref_.empty() && ref_.top().when <= limit; ++i) {
+            const RefKey expect = ref_.top();
+            ref_.pop();
+            if (i >= dispatched_.size()) {
+                ADD_FAILURE() << "kernel dispatched too few events by " << limit;
+                return i;
+            }
+            EXPECT_EQ(dispatched_[i].first, expect.seq)
+                << "order diverged at when=" << expect.when;
+            EXPECT_EQ(dispatched_[i].second, expect.when);
         }
-        EXPECT_FALSE(ref_.empty());
-        const RefKey expect = ref_.top();
-        ref_.pop();
-        EXPECT_EQ(e->when, expect.when);
-        EXPECT_EQ(e->seq, expect.seq) << "FIFO tie-break diverged at when="
-                                      << expect.when;
-        EXPECT_EQ(e->prio, expect.prio);
-        arena_.release(e->idx);
-        return true;
+        EXPECT_EQ(dispatched_.size(), i);
+        EXPECT_EQ(sim_.events_pending(), ref_.size());
+        return i;
     }
 
-    [[nodiscard]] CalendarQueue& queue() noexcept { return queue_; }
+    [[nodiscard]] std::int64_t now() const noexcept { return sim_.now().ticks(); }
 
 private:
-    EventArena arena_;
-    CalendarQueue queue_{arena_};
+    Simulation sim_{2024};
     RefQueue ref_;
+    std::vector<std::pair<std::uint64_t, std::int64_t>> dispatched_;
     std::uint64_t next_seq_ = 0;
 };
 
@@ -97,50 +104,39 @@ TEST(EventQueueDifferential, RandomizedPushThenDrain) {
         h.push(rng.uniform_int(0, 5000),
                static_cast<std::int8_t>(rng.uniform_int(-1, 1)));
     }
-    int popped = 0;
-    while (h.pop_and_compare()) ++popped;
-    EXPECT_EQ(popped, 20000);
+    EXPECT_EQ(h.run_until_and_compare(SimTime::never().ticks()), 20000u);
 }
 
 TEST(EventQueueDifferential, InterleavedPushPop) {
     DifferentialHarness h;
     RngStream rng{7, "queue.interleave"};
-    int pushed = 0;
-    int popped = 0;
+    std::size_t pushed = 0;
+    std::size_t popped = 0;
     for (int round = 0; round < 4000; ++round) {
         const int burst = static_cast<int>(rng.uniform_int(1, 8));
         for (int i = 0; i < burst; ++i) {
-            h.push(rng.uniform_int(0, 100000),
+            h.push(h.now() + rng.uniform_int(0, 1000),
                    static_cast<std::int8_t>(rng.uniform_int(-1, 1)));
             ++pushed;
         }
-        // Pop roughly half of what is outstanding, so the queue cursor
-        // repeatedly rewinds when later pushes land in earlier years.
-        int to_pop = (pushed - popped) / 2;
-        while (to_pop-- > 0 && h.pop_and_compare()) ++popped;
+        // Advance a random span so some of the outstanding events fire
+        // and later pushes land among the ones still pending.
+        popped += h.run_until_and_compare(h.now() + rng.uniform_int(0, 400));
     }
-    while (h.pop_and_compare()) ++popped;
+    popped += h.run_until_and_compare(SimTime::never().ticks());
     EXPECT_EQ(popped, pushed);
 }
 
 TEST(EventQueueDifferential, AllSameInstantPopsInFifoOrder) {
-    EventArena arena;
-    CalendarQueue q{arena};
-    for (std::uint64_t seq = 0; seq < 1000; ++seq) {
-        const std::uint32_t idx = arena.acquire();
-        EventNode& n = arena.node(idx);
-        n.when = SimTime::at(SimDuration::micros(42));
-        n.seq = seq;
-        n.prio = EventPriority::kDefault;
-        q.push(idx);
+    Simulation s{1};
+    std::vector<int> order;
+    for (int i = 0; i < 1000; ++i) {
+        s.schedule_at(at_us(42), [&order, i] { order.push_back(i); });
     }
-    for (std::uint64_t seq = 0; seq < 1000; ++seq) {
-        const auto e = q.pop_if_at_most(SimTime::never().ticks());
-        ASSERT_TRUE(e.has_value());
-        EXPECT_EQ(e->seq, seq);  // exact insertion order
-        arena.release(e->idx);
-    }
-    EXPECT_TRUE(q.empty());
+    s.run_all();
+    ASSERT_EQ(order.size(), 1000u);
+    for (int i = 0; i < 1000; ++i) EXPECT_EQ(order[i], i);  // insertion order
+    EXPECT_EQ(s.events_pending(), 0u);
 }
 
 TEST(EventQueueDifferential, PriorityBeatsFifoAtSameInstant) {
@@ -151,47 +147,26 @@ TEST(EventQueueDifferential, PriorityBeatsFifoAtSameInstant) {
     h.push(10, -1);
     h.push(10, 0);
     h.push(10, -1);
-    while (h.pop_and_compare()) {
-    }
+    EXPECT_EQ(h.run_until_and_compare(SimTime::never().ticks()), 5u);
 }
 
 TEST(EventQueueDifferential, PopRespectsLimit) {
-    EventArena arena;
-    CalendarQueue q{arena};
-    for (std::int64_t when : {100, 200, 300}) {
-        const std::uint32_t idx = arena.acquire();
-        EventNode& n = arena.node(idx);
-        n.when = SimTime::at(SimDuration::micros(when));
-        n.seq = static_cast<std::uint64_t>(when);
-        n.prio = EventPriority::kDefault;
-        q.push(idx);
+    Simulation s{1};
+    std::vector<std::int64_t> fired;
+    for (const std::int64_t when : {100, 200, 300}) {
+        s.schedule_at(at_us(when), [&fired, &s] { fired.push_back(s.now().ticks()); });
     }
-    EXPECT_FALSE(q.pop_if_at_most(99).has_value());
-    EXPECT_EQ(q.size(), 3u);  // a refused pop leaves the queue untouched
-    const auto e1 = q.pop_if_at_most(100);
-    ASSERT_TRUE(e1.has_value());
-    EXPECT_EQ(e1->when, 100);
-    EXPECT_FALSE(q.pop_if_at_most(150).has_value());
-    EXPECT_EQ(q.size(), 2u);
-    const auto e2 = q.pop_if_at_most(SimTime::never().ticks());
-    ASSERT_TRUE(e2.has_value());
-    EXPECT_EQ(e2->when, 200);
-}
-
-TEST(EventQueueDifferential, BucketGeometryGrowsWithPopulation) {
-    EventArena arena;
-    CalendarQueue q{arena};
-    const std::size_t initial = q.bucket_count();
-    for (std::int64_t i = 0; i < 10000; ++i) {
-        const std::uint32_t idx = arena.acquire();
-        EventNode& n = arena.node(idx);
-        n.when = SimTime::at(SimDuration::micros(i));
-        n.seq = static_cast<std::uint64_t>(i);
-        n.prio = EventPriority::kDefault;
-        q.push(idx);
-    }
-    EXPECT_GT(q.bucket_count(), initial);
-    EXPECT_EQ(q.size(), 10000u);
+    s.run_until(at_us(99));
+    EXPECT_TRUE(fired.empty());
+    EXPECT_EQ(s.events_pending(), 3u);  // a refused pop leaves the queue untouched
+    EXPECT_EQ(s.now(), at_us(99));
+    s.run_until(at_us(100));  // events at exactly the limit run
+    EXPECT_EQ(fired, (std::vector<std::int64_t>{100}));
+    s.run_until(at_us(150));
+    EXPECT_EQ(fired.size(), 1u);
+    EXPECT_EQ(s.events_pending(), 2u);
+    s.run_all();
+    EXPECT_EQ(fired, (std::vector<std::int64_t>{100, 200, 300}));
 }
 
 /// Reference model of the full Simulation seq-assignment contract:
@@ -251,6 +226,82 @@ TEST(SimulationDifferential, PeriodicRearmTakesFreshSeqAfterCallback) {
     EXPECT_EQ(order[1], "oneshot@20");  // scheduled first => smaller seq
     EXPECT_EQ(order[2], "periodic@20");
     EXPECT_EQ(order[3], "oneshot@30");
+}
+
+/// Cancelled events stay in the heap and are popped and released one by
+/// one. With 90% of events cancelled — some right after scheduling, some
+/// later from an earlier round while other events have already fired —
+/// and the run advanced in random run_until steps, the dispatch order
+/// must be exactly the sorted order of the surviving events.
+TEST(SimulationDifferential, CancelHeavyInterleavedRunUntilMatchesSortedSurvivors) {
+    EventArena arena;
+    Simulation s{31, &arena};
+    RngStream rng{31, "queue.cancel90"};
+    struct Scheduled {
+        std::int64_t when;
+        std::int8_t prio;
+        int id;  // schedule order == kernel seq
+        bool cancelled;
+    };
+    std::vector<Scheduled> model;
+    std::vector<EventHandle> handles;
+    std::vector<int> dispatched;
+    std::vector<bool> fired;
+    for (int round = 0; round < 300; ++round) {
+        const int burst = static_cast<int>(rng.uniform_int(1, 40));
+        for (int i = 0; i < burst; ++i) {
+            const int id = static_cast<int>(model.size());
+            const std::int64_t when = s.now().ticks() + rng.uniform_int(0, 3000);
+            const auto prio = static_cast<std::int8_t>(rng.uniform_int(-1, 1));
+            model.push_back(Scheduled{when, prio, id, false});
+            fired.push_back(false);
+            handles.push_back(s.schedule_at(
+                at_us(when),
+                [&dispatched, &fired, id] {
+                    dispatched.push_back(id);
+                    fired[static_cast<std::size_t>(id)] = true;
+                },
+                static_cast<EventPriority>(prio)));
+            if (rng.uniform_int(0, 9) != 0) {  // 90% cancelled up front
+                EXPECT_TRUE(handles.back().cancel());
+                model.back().cancelled = true;
+            }
+        }
+        // Try to cancel a few older events: a pending one is cancelled,
+        // a fired (or already cancelled) one reports false.
+        for (int k = 0; k < 3; ++k) {
+            const auto victim = static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(model.size()) - 1));
+            const bool was_pending = !fired[victim] && !model[victim].cancelled;
+            EXPECT_EQ(handles[victim].cancel(), was_pending);
+            if (was_pending) model[victim].cancelled = true;
+        }
+        s.run_until(at_us(s.now().ticks() + rng.uniform_int(0, 1500)));
+        const auto due = std::count_if(
+            model.begin(), model.end(), [&](const Scheduled& e) {
+                return !e.cancelled && e.when <= s.now().ticks();
+            });
+        EXPECT_EQ(dispatched.size(), static_cast<std::size_t>(due));
+    }
+    s.run_all();
+
+    std::vector<Scheduled> survivors;
+    std::copy_if(model.begin(), model.end(), std::back_inserter(survivors),
+                 [](const Scheduled& e) { return !e.cancelled; });
+    std::sort(survivors.begin(), survivors.end(),
+              [](const Scheduled& a, const Scheduled& b) {
+                  if (a.when != b.when) return a.when < b.when;
+                  if (a.prio != b.prio) return a.prio < b.prio;
+                  return a.id < b.id;
+              });
+    EXPECT_LT(survivors.size(), model.size() / 5);
+    ASSERT_EQ(dispatched.size(), survivors.size());
+    for (std::size_t i = 0; i < survivors.size(); ++i) {
+        EXPECT_EQ(dispatched[i], survivors[i].id) << "divergence at position " << i;
+    }
+    // Every tombstone was popped and its slot released.
+    EXPECT_EQ(s.events_pending(), 0u);
+    EXPECT_EQ(arena.live_nodes(), 0u);
 }
 
 }  // namespace

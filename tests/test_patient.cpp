@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "physio/physio.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -84,6 +86,11 @@ TEST(Patient, StepValidation) {
     Patient p{PatientParameters{}};
     EXPECT_THROW(p.step(0.0), std::invalid_argument);
     EXPECT_THROW(p.step(-0.5), std::invalid_argument);
+    // NaN fails `dt <= 0` too, so non-finite dt needs its own rejection.
+    for (const double dt : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        EXPECT_THROW(p.step(dt), std::invalid_argument);
+    }
+    EXPECT_EQ(p.elapsed_seconds(), 0.0);
     EXPECT_THROW(p.set_infusion_rate(InfusionRate::mg_per_hour(-1)),
                  std::invalid_argument);
 }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "physio/pk_model.hpp"
 
 namespace {
@@ -56,6 +58,9 @@ TEST(PkModel, StepArgumentValidation) {
     PkTwoCompartment pk{PkParameters{}};
     EXPECT_THROW(pk.step(0.0, InfusionRate::zero()), std::invalid_argument);
     EXPECT_THROW(pk.step(-1.0, InfusionRate::zero()), std::invalid_argument);
+    for (const double dt : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        EXPECT_THROW(pk.step(dt, InfusionRate::zero()), std::invalid_argument);
+    }
 }
 
 TEST(PkModel, MatchesAnalyticOneCompartmentBolus) {

@@ -2,13 +2,14 @@
 # Produces the serve-layer benchmark report (BENCH_7.json):
 #
 #   1. builds mcps_load + bench_micro_kernel;
-#   2. runs the calendar-queue microbench (the tombstone-compaction
-#      "after" numbers) with --json;
+#   2. runs the kernel microbench (the current "after" numbers) with
+#      --json;
 #   3. runs mcps_load against an embedded server (requests traverse real
 #      loopback TCP) sweeping 1/4/16/64 concurrent clients, splicing in
-#      the compaction before/after metrics:
+#      the kernel before/after metrics:
 #        kernel_before/* — frozen bench/baselines/micro_kernel_pr7_prechange.json
-#        kernel_after/*  — the fresh microbench run
+#                          (calendar queue without tombstone compaction)
+#        kernel_after/*  — the fresh microbench run (binary-heap kernel)
 #   4. validates the merged report against the benchio schema.
 #
 #   tools/bench_serve.sh [--quick] [--out FILE]
@@ -53,7 +54,7 @@ if [[ "${quick}" == "1" ]]; then
     load_args=()
 fi
 
-echo "==== run bench_micro_kernel (compaction 'after' numbers) ===="
+echo "==== run bench_micro_kernel (kernel 'after' numbers) ===="
 "${build}/bench/bench_micro_kernel" "${quick_flag[@]}" \
     --json "${scratch}/micro_kernel.json"
 

@@ -12,7 +12,7 @@
 #                            seeded-defect fixtures (incl. CONC1/TA5/
 #                            SARIF + the CFG1 missing-root exit code),
 #                            the scenario registry/spec suite, the
-#                            calendar-queue/arena differential suite,
+#                            event-heap/arena differential suite,
 #                            the service suite (protocol fuzz, cache,
 #                            admission, e2e), the shared-metrics stress
 #                            suite, the hospital-population suite
