@@ -7,6 +7,12 @@ namespace mcps::core {
 using mcps::sim::SimDuration;
 using mcps::sim::SimTime;
 
+namespace {
+/// Bus metric names in PcaInterlock::Metric order.
+constexpr std::array<std::string_view, 3> kMetricNames{"spo2", "etco2",
+                                                       "resp_rate"};
+}  // namespace
+
 std::string_view to_string(InterlockMode m) noexcept {
     switch (m) {
         case InterlockMode::kSpO2Only: return "spo2-only";
@@ -67,6 +73,7 @@ void PcaInterlock::bind(const std::vector<ice::DeviceDescriptor>& devices) {
                                     std::to_string(devices.size()));
     }
     pump_name_ = devices[0].name;
+    pump_cmd_topic_ = "cmd/" + pump_name_;
     oximeter_name_ = devices[1].name;
     if (cfg_.mode == InterlockMode::kDualSensor) {
         capnometer_name_ = devices[2].name;
@@ -119,7 +126,12 @@ void PcaInterlock::on_device_recovered(const std::string& device_name) {
 void PcaInterlock::on_vital(const mcps::net::Message& m) {
     const auto* v = mcps::net::payload_as<mcps::net::VitalSignPayload>(m);
     if (!v) return;
-    metrics_[v->metric] = MetricState{v->value, v->valid, ctx_.sim.now()};
+    for (std::size_t i = 0; i < kMetricCount; ++i) {
+        if (v->metric == kMetricNames[i]) {
+            metrics_[i] = MetricState{v->value, ctx_.sim.now()};
+            return;
+        }
+    }
 }
 
 void PcaInterlock::on_ack(const mcps::net::Message& m) {
@@ -142,38 +154,36 @@ void PcaInterlock::on_ack(const mcps::net::Message& m) {
     retry_handle_.cancel();
 }
 
-bool PcaInterlock::metric_fresh(const std::string& metric) const {
-    auto it = metrics_.find(metric);
-    if (it == metrics_.end()) return false;
-    if (it->second.updated_at.is_never()) return false;
-    return ctx_.sim.now() - it->second.updated_at <= cfg_.staleness_limit;
+bool PcaInterlock::metric_fresh(Metric metric) const {
+    const MetricState& m = metrics_[metric];
+    if (m.updated_at.is_never()) return false;
+    return ctx_.sim.now() - m.updated_at <= cfg_.staleness_limit;
 }
 
-std::optional<double> PcaInterlock::metric_value(
-    const std::string& metric) const {
-    auto it = metrics_.find(metric);
-    if (it == metrics_.end()) return std::nullopt;
-    return it->second.value;
+std::optional<double> PcaInterlock::metric_value(Metric metric) const {
+    const MetricState& m = metrics_[metric];
+    if (m.updated_at.is_never()) return std::nullopt;
+    return m.value;
 }
 
 bool PcaInterlock::condition_now() const {
-    const auto spo2 = metric_value("spo2");
-    const bool spo2_fresh = metric_fresh("spo2");
+    const auto spo2 = metric_value(kSpO2);
+    const bool spo2_fresh = metric_fresh(kSpO2);
 
     if (cfg_.mode == InterlockMode::kSpO2Only) {
         return spo2_fresh && spo2 && *spo2 < cfg_.spo2_stop;
     }
 
-    const auto etco2 = metric_value("etco2");
-    const auto rr = metric_value("resp_rate");
-    const bool cap_fresh = metric_fresh("etco2");
+    const auto etco2 = metric_value(kEtCO2);
+    const auto rr = metric_value(kRespRate);
+    const bool cap_fresh = metric_fresh(kEtCO2);
 
     const bool spo2_critical = spo2_fresh && spo2 && *spo2 < cfg_.spo2_stop;
     const bool spo2_warning = spo2_fresh && spo2 && *spo2 < cfg_.spo2_warn;
     const bool resp_critical =
         cap_fresh && ((etco2 && (*etco2 < cfg_.etco2_low ||
                                  *etco2 > cfg_.etco2_high)) ||
-                      (rr && metric_fresh("resp_rate") && *rr < cfg_.rr_low));
+                      (rr && metric_fresh(kRespRate) && *rr < cfg_.rr_low));
 
     // Either sensor alone at critical level, or a concordant warning on
     // both: capnometry's fast response plus oximetry's specificity.
@@ -181,16 +191,16 @@ bool PcaInterlock::condition_now() const {
 }
 
 bool PcaInterlock::vitals_normal_now() const {
-    const auto spo2 = metric_value("spo2");
-    if (!metric_fresh("spo2") || !spo2 || *spo2 < cfg_.spo2_warn) return false;
+    const auto spo2 = metric_value(kSpO2);
+    if (!metric_fresh(kSpO2) || !spo2 || *spo2 < cfg_.spo2_warn) return false;
     if (cfg_.mode == InterlockMode::kDualSensor) {
-        const auto etco2 = metric_value("etco2");
-        const auto rr = metric_value("resp_rate");
-        if (!metric_fresh("etco2") || !etco2 ||
+        const auto etco2 = metric_value(kEtCO2);
+        const auto rr = metric_value(kRespRate);
+        if (!metric_fresh(kEtCO2) || !etco2 ||
             *etco2 < cfg_.etco2_low + 5.0 || *etco2 > cfg_.etco2_high - 5.0) {
             return false;
         }
-        if (!metric_fresh("resp_rate") || !rr || *rr < cfg_.rr_low + 2.0) {
+        if (!metric_fresh(kRespRate) || !rr || *rr < cfg_.rr_low + 2.0) {
             return false;
         }
     }
@@ -207,7 +217,7 @@ void PcaInterlock::send_pending_command() {
         cmd.action = "resume";
     }
     cmd.command_seq = pending_command_seq_;
-    ctx_.bus.publish(name(), "cmd/" + pump_name_, cmd);
+    ctx_.bus.publish(name(), pump_cmd_topic_, cmd);
 }
 
 void PcaInterlock::issue_stop(const std::string& why) {
@@ -256,9 +266,9 @@ void PcaInterlock::check() {
     const SimTime now = ctx_.sim.now();
 
     // --- Data-loss handling -------------------------------------------
-    const bool spo2_lost = !metric_fresh("spo2");
+    const bool spo2_lost = !metric_fresh(kSpO2);
     const bool cap_lost = cfg_.mode == InterlockMode::kDualSensor &&
-                          !metric_fresh("etco2");
+                          !metric_fresh(kEtCO2);
     const bool any_lost = spo2_lost || cap_lost || device_lost_active_;
     // Grace period: don't declare loss before the first sample ever had a
     // chance to arrive.

@@ -22,8 +22,8 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 
@@ -116,18 +116,21 @@ public:
     }
 
 private:
+    /// The vitals the trigger reads, as slots of metrics_. Other metric
+    /// names on the bed's vitals topics are ignored.
+    enum Metric : std::size_t { kSpO2, kEtCO2, kRespRate, kMetricCount };
+
+    /// Last sample of one metric; updated_at is never until the first one.
     struct MetricState {
         double value = 0.0;
-        bool valid = true;
         mcps::sim::SimTime updated_at = mcps::sim::SimTime::never();
     };
 
     void on_vital(const mcps::net::Message& m);
     void on_ack(const mcps::net::Message& m);
     void check();
-    [[nodiscard]] bool metric_fresh(const std::string& metric) const;
-    [[nodiscard]] std::optional<double> metric_value(
-        const std::string& metric) const;
+    [[nodiscard]] bool metric_fresh(Metric metric) const;
+    [[nodiscard]] std::optional<double> metric_value(Metric metric) const;
     /// True if the trigger condition (respiratory depression) holds now.
     [[nodiscard]] bool condition_now() const;
     /// True if all gating vitals are in the normal band now.
@@ -139,11 +142,12 @@ private:
     devices::DeviceContext ctx_;
     InterlockConfig cfg_;
     std::string pump_name_;
+    std::string pump_cmd_topic_;  ///< "cmd/<pump>", built at bind
     std::string oximeter_name_;
     std::string capnometer_name_;
 
     InterlockState state_ = InterlockState::kMonitoring;
-    std::map<std::string, MetricState> metrics_;
+    std::array<MetricState, kMetricCount> metrics_{};
     mcps::sim::SimTime condition_since_ = mcps::sim::SimTime::never();
     mcps::sim::SimTime normal_since_ = mcps::sim::SimTime::never();
     mcps::sim::SimTime trigger_onset_ = mcps::sim::SimTime::never();

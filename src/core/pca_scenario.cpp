@@ -32,6 +32,14 @@ struct PcaScenario::Impl {
     mcps::sim::RunningStats pain_stats;
     bool hook_fired = false;
 
+    // 1 Hz ground-truth signals, resolved on their first sample.
+    mcps::sim::SignalRef truth_spo2{trace, "truth/spo2"};
+    mcps::sim::SignalRef truth_resp_rate{trace, "truth/resp_rate"};
+    mcps::sim::SignalRef truth_etco2{trace, "truth/etco2"};
+    mcps::sim::SignalRef truth_apneic{trace, "truth/apneic"};
+    mcps::sim::SignalRef truth_effect_site{trace, "truth/effect_site"};
+    mcps::sim::SignalRef pump_delivering{trace, "pump/delivering"};
+
     explicit Impl(PcaScenarioConfig c)
         : cfg{std::move(c)},
           sim{cfg.seed},
@@ -118,18 +126,14 @@ PcaScenario::PcaScenario(PcaScenarioConfig cfg)
         [this] {
             auto& im2 = *impl_;
             const SimTime now = im2.sim.now();
-            im2.trace.record("truth/spo2", now,
-                             im2.patient.spo2().as_percent());
-            im2.trace.record("truth/resp_rate", now,
-                             im2.patient.resp_rate().as_per_minute());
-            im2.trace.record("truth/etco2", now,
-                             im2.patient.etco2().as_mmhg());
-            im2.trace.record("truth/apneic", now,
-                             im2.patient.is_apneic() ? 1.0 : 0.0);
-            im2.trace.record("truth/effect_site", now,
-                             im2.patient.pk().effect_site().as_ng_per_ml());
-            im2.trace.record("pump/delivering", now,
-                             im2.pump.delivering() ? 1.0 : 0.0);
+            im2.truth_spo2.record(now, im2.patient.spo2().as_percent());
+            im2.truth_resp_rate.record(
+                now, im2.patient.resp_rate().as_per_minute());
+            im2.truth_etco2.record(now, im2.patient.etco2().as_mmhg());
+            im2.truth_apneic.record(now, im2.patient.is_apneic() ? 1.0 : 0.0);
+            im2.truth_effect_site.record(
+                now, im2.patient.pk().effect_site().as_ng_per_ml());
+            im2.pump_delivering.record(now, im2.pump.delivering() ? 1.0 : 0.0);
         },
         mcps::sim::EventPriority::kLate);
 

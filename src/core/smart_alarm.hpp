@@ -23,8 +23,8 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -106,6 +106,17 @@ public:
     [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
 private:
+    /// The fused channels, as slots of metrics_. Other metric names on the
+    /// bed's vitals topics are ignored.
+    enum Metric : std::size_t {
+        kSpO2,
+        kRespRate,
+        kEtCO2,
+        kPulseRate,
+        kMetricCount
+    };
+
+    /// Last sample of one channel; updated_at is never until the first one.
     struct MetricState {
         double value = 0.0;
         bool valid = true;
@@ -121,18 +132,21 @@ private:
     void on_vital(const mcps::net::Message& m);
     void evaluate();
     [[nodiscard]] bool fresh(const MetricState& m) const;
-    [[nodiscard]] Contribution contribution(const std::string& metric) const;
+    [[nodiscard]] Contribution contribution(Metric metric) const;
 
     devices::DeviceContext ctx_;
     std::string name_;
     SmartAlarmConfig cfg_;
-    std::map<std::string, MetricState> metrics_;
+    mcps::sim::SignalRef score_trace_;  ///< "smart_alarm/<name>/score"
+    std::array<MetricState, kMetricCount> metrics_{};
     double score_ = 0.0;
-    std::string dominant_;
+    Metric dominant_ = kSpO2;
     mcps::sim::SimTime above_warning_since_ = mcps::sim::SimTime::never();
     mcps::sim::SimTime above_critical_since_ = mcps::sim::SimTime::never();
-    std::map<std::string, mcps::sim::SimTime> last_fired_;
-    std::map<std::string, mcps::sim::SimTime> last_tech_alert_;
+    /// Last alarm per AlarmSeverity, never if none fired yet.
+    std::array<mcps::sim::SimTime, 3> last_fired_;
+    /// Last technical alert per channel, never if none was raised yet.
+    std::array<mcps::sim::SimTime, kMetricCount> last_tech_alert_;
     std::vector<AlarmEvent> alarms_;
     std::vector<TechnicalAlert> tech_alerts_;
     mcps::sim::EventHandle check_handle_;

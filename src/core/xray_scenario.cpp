@@ -68,8 +68,9 @@ XrayScenarioResult run_xray_scenario(const XrayScenarioConfig& cfg) {
     sim.schedule_periodic(SimDuration::millis(500), [&] {
         patient.step(0.5);
     });
+    mcps::sim::SignalRef truth_spo2{trace, "truth/spo2"};
     sim.schedule_periodic(SimDuration::seconds(1), [&] {
-        trace.record("truth/spo2", sim.now(), patient.spo2().as_percent());
+        truth_spo2.record(sim.now(), patient.spo2().as_percent());
     });
 
     // Procedure requests at fixed intervals.

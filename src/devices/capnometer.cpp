@@ -6,7 +6,9 @@ Capnometer::Capnometer(DeviceContext ctx, std::string name,
                        const physio::Patient& patient, CapnometerConfig cfg)
     : Device{ctx, std::move(name), DeviceKind::kCapnometer},
       patient_{patient},
-      cfg_{std::move(cfg)} {
+      cfg_{std::move(cfg)},
+      etco2_trace_{trace(), "sensor/" + Device::name() + "/etco2"},
+      rr_trace_{trace(), "sensor/" + Device::name() + "/resp_rate"} {
     add_capability("etco2");
     add_capability("resp_rate");
 
@@ -43,11 +45,10 @@ void Capnometer::sample_tick() {
     auto et = etco2_->sample(sim().now());
     if (!et) return;  // cannula displaced silences both channels
     publish(etco2_->topic(), *et);
-    trace().record("sensor/" + name() + "/etco2", sim().now(), et->value);
+    etco2_trace_.record(sim().now(), et->value);
     if (auto rr = rr_->sample(sim().now())) {
         publish(rr_->topic(), *rr);
-        trace().record("sensor/" + name() + "/resp_rate", sim().now(),
-                       rr->value);
+        rr_trace_.record(sim().now(), rr->value);
     }
 }
 

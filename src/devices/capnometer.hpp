@@ -44,6 +44,8 @@ private:
     CapnometerConfig cfg_;
     std::unique_ptr<SensorChannel> etco2_;
     std::unique_ptr<SensorChannel> rr_;
+    mcps::sim::SignalRef etco2_trace_;
+    mcps::sim::SignalRef rr_trace_;
     mcps::sim::EventHandle tick_;
 };
 

@@ -16,7 +16,11 @@ std::string_view to_string(DeviceKind k) noexcept {
 }
 
 Device::Device(DeviceContext ctx, std::string name, DeviceKind kind)
-    : ctx_{ctx}, name_{std::move(name)}, kind_{kind} {
+    : ctx_{ctx},
+      name_{std::move(name)},
+      heartbeat_topic_{"heartbeat/" + name_},
+      status_topic_{"status/" + name_},
+      kind_{kind} {
     if (name_.empty()) throw std::invalid_argument("Device: empty name");
 }
 
@@ -42,7 +46,7 @@ void Device::start() {
     if (heartbeat_period_ > mcps::sim::SimDuration::zero()) {
         heartbeat_handle_ = ctx_.sim.schedule_periodic(
             heartbeat_period_, [this] {
-                publish("heartbeat/" + name_,
+                publish(heartbeat_topic_,
                         mcps::net::HeartbeatPayload{heartbeat_count_++});
             });
     }
@@ -71,7 +75,7 @@ void Device::publish(const std::string& topic, mcps::net::Payload payload) {
 
 void Device::publish_status(const std::string& state,
                             const std::string& detail) {
-    publish("status/" + name_, mcps::net::StatusPayload{state, detail});
+    publish(status_topic_, mcps::net::StatusPayload{state, detail});
 }
 
 }  // namespace mcps::devices

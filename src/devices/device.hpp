@@ -108,6 +108,8 @@ protected:
 private:
     DeviceContext ctx_;
     std::string name_;
+    std::string heartbeat_topic_;  ///< "heartbeat/<name>"
+    std::string status_topic_;     ///< "status/<name>"
     DeviceKind kind_;
     std::vector<std::string> capabilities_;
     bool running_ = false;

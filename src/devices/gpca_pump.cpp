@@ -60,7 +60,8 @@ GpcaPump::GpcaPump(DeviceContext ctx, std::string name,
       patient_{patient},
       rx_{rx},
       cfg_{cfg},
-      reservoir_{cfg.reservoir} {
+      reservoir_{cfg.reservoir},
+      window_trace_{trace(), "pump/" + Device::name() + "/window_mg"} {
     rx_.validate();
     if (cfg_.tick <= SimDuration::zero()) {
         throw std::invalid_argument("PumpConfig: tick must be positive");
@@ -178,8 +179,7 @@ void GpcaPump::tick() {
     }
 
     deliver(Dose::mg(basal_mg + bolus_mg));
-    trace().record("pump/" + name() + "/window_mg", sim().now(),
-                   window_total_mg_);
+    window_trace_.record(sim().now(), window_total_mg_);
 }
 
 bool GpcaPump::press_button() {

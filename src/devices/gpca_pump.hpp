@@ -162,6 +162,7 @@ private:
     std::deque<std::pair<mcps::sim::SimTime, double>> window_mg_;
     double window_total_mg_ = 0.0;
     PumpStats stats_;
+    mcps::sim::SignalRef window_trace_;
     mcps::sim::EventHandle tick_handle_;
     mcps::sim::EventHandle status_handle_;
     mcps::net::SubscriptionId cmd_sub_;

@@ -22,6 +22,21 @@ BedsideMonitor::BedsideMonitor(DeviceContext ctx, std::string name,
     : Device{ctx, std::move(name), DeviceKind::kMonitor}, cfg_{std::move(cfg)} {
     add_capability("display");
     add_capability("threshold-alarms");
+    for (const auto& rule : cfg_.rules) {
+        std::size_t slot = find_slot(rule.metric);
+        if (slot == std::string::npos) {
+            slot = slots_.size();
+            slots_.push_back(MetricSlot{rule.metric, {}, 0, SimTime::never()});
+        }
+        rule_slot_.push_back(slot);
+    }
+}
+
+std::size_t BedsideMonitor::find_slot(std::string_view metric) const noexcept {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        if (slots_[i].metric == metric) return i;
+    }
+    return std::string::npos;
 }
 
 void BedsideMonitor::on_start() {
@@ -33,45 +48,52 @@ void BedsideMonitor::on_stop() { bus().unsubscribe(sub_); }
 
 std::optional<MetricView> BedsideMonitor::latest(
     const std::string& metric) const {
-    auto it = latest_.find(metric);
-    if (it == latest_.end()) return std::nullopt;
-    return it->second;
+    const std::size_t slot = find_slot(metric);
+    if (slot == std::string::npos) return std::nullopt;
+    return slots_[slot].latest;
 }
 
 bool BedsideMonitor::is_stale(const std::string& metric) const {
-    auto it = latest_.find(metric);
-    if (it == latest_.end()) return true;
-    return sim().now() - it->second.updated_at > cfg_.staleness_limit;
+    const auto view = latest(metric);
+    if (!view) return true;
+    return sim().now() - view->updated_at > cfg_.staleness_limit;
 }
 
-void BedsideMonitor::fire(const std::string& metric, double value,
+void BedsideMonitor::fire(MetricSlot& slot, double value,
                           const std::string& why) {
-    if (auto it = last_fired_.find(metric); it != last_fired_.end()) {
-        if (sim().now() - it->second < cfg_.rearm) return;
+    if (!slot.last_fired.is_never() &&
+        sim().now() - slot.last_fired < cfg_.rearm) {
+        return;
     }
-    last_fired_[metric] = sim().now();
-    alarms_.push_back(MonitorAlarm{sim().now(), metric, value, why});
-    trace().mark(sim().now(), "monitor_alarm/" + metric + "/" + why);
+    slot.last_fired = sim().now();
+    alarms_.push_back(MonitorAlarm{sim().now(), slot.metric, value, why});
+    trace().mark(sim().now(), "monitor_alarm/" + slot.metric + "/" + why);
     publish("alarm/" + name(),
-            mcps::net::StatusPayload{"threshold", metric + ":" + why});
+            mcps::net::StatusPayload{"threshold", slot.metric + ":" + why});
 }
 
 void BedsideMonitor::on_vital(const mcps::net::Message& m) {
     const auto* v = mcps::net::payload_as<mcps::net::VitalSignPayload>(m);
     if (!v) return;
-    latest_[v->metric] = MetricView{v->value, v->valid, sim().now()};
+    std::size_t slot = find_slot(v->metric);
+    if (slot == std::string::npos) {
+        slot = slots_.size();
+        slots_.push_back(MetricSlot{v->metric, {}, 0, SimTime::never()});
+    }
+    MetricSlot& s = slots_[slot];
+    s.latest = MetricView{v->value, v->valid, sim().now()};
 
-    for (const auto& rule : cfg_.rules) {
-        if (rule.metric != v->metric) continue;
+    for (std::size_t r = 0; r < cfg_.rules.size(); ++r) {
+        if (rule_slot_[r] != slot) continue;
+        const ThresholdRule& rule = cfg_.rules[r];
         const bool low = v->value < rule.low;
         const bool high = v->value > rule.high;
-        int& streak = violation_streak_[v->metric];
         if (low || high) {
-            if (++streak >= rule.persistence) {
-                fire(v->metric, v->value, low ? "low" : "high");
+            if (++s.violation_streak >= rule.persistence) {
+                fire(s, v->value, low ? "low" : "high");
             }
         } else {
-            streak = 0;
+            s.violation_streak = 0;
         }
     }
 }

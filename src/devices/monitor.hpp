@@ -8,7 +8,6 @@
 
 #pragma once
 
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -74,13 +73,24 @@ protected:
     void on_stop() override;
 
 private:
+    /// Everything the monitor keeps about one metric name.
+    struct MetricSlot {
+        std::string metric;
+        std::optional<MetricView> latest;
+        int violation_streak = 0;  ///< shared by every rule on this metric
+        mcps::sim::SimTime last_fired = mcps::sim::SimTime::never();
+    };
+
+    /// Slot index of \p metric, or npos if it has none yet.
+    [[nodiscard]] std::size_t find_slot(std::string_view metric) const noexcept;
     void on_vital(const mcps::net::Message& m);
-    void fire(const std::string& metric, double value, const std::string& why);
+    void fire(MetricSlot& slot, double value, const std::string& why);
 
     MonitorConfig cfg_;
-    std::map<std::string, MetricView> latest_;
-    std::map<std::string, int> violation_streak_;
-    std::map<std::string, mcps::sim::SimTime> last_fired_;
+    /// One slot per distinct rule metric (in rule order), then one per
+    /// other metric name as it first arrives.
+    std::vector<MetricSlot> slots_;
+    std::vector<std::size_t> rule_slot_;  ///< slot of cfg_.rules[i]
     std::vector<MonitorAlarm> alarms_;
     mcps::net::SubscriptionId sub_;
 };

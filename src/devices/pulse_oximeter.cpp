@@ -7,7 +7,8 @@ PulseOximeter::PulseOximeter(DeviceContext ctx, std::string name,
                              PulseOximeterConfig cfg)
     : Device{ctx, std::move(name), DeviceKind::kPulseOximeter},
       patient_{patient},
-      cfg_{std::move(cfg)} {
+      cfg_{std::move(cfg)},
+      spo2_trace_{trace(), "sensor/" + Device::name() + "/spo2"} {
     add_capability("spo2");
     add_capability("pulse_rate");
 
@@ -49,8 +50,7 @@ void PulseOximeter::sample_tick() {
     auto spo2_sample = spo2_->sample(sim().now());
     if (!spo2_sample) return;  // probe-off silences both channels
     publish(spo2_->topic(), *spo2_sample);
-    trace().record("sensor/" + name() + "/spo2", sim().now(),
-                   spo2_sample->value);
+    spo2_trace_.record(sim().now(), spo2_sample->value);
     if (auto pr = pulse_->sample(sim().now())) {
         publish(pulse_->topic(), *pr);
     }

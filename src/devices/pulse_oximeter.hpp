@@ -52,6 +52,7 @@ private:
     PulseOximeterConfig cfg_;
     std::unique_ptr<SensorChannel> spo2_;
     std::unique_ptr<SensorChannel> pulse_;
+    mcps::sim::SignalRef spo2_trace_;
     mcps::sim::EventHandle tick_;
 };
 

@@ -141,12 +141,12 @@ void Supervisor::on_heartbeat(const mcps::net::Message& m) {
     // Topic is "heartbeat/<device>".
     const auto pos = m.topic.find('/');
     if (pos == std::string::npos) return;
-    const std::string device = m.topic.substr(pos + 1);
-    auto it = liveness_.find(device);
+    auto it = liveness_.find(std::string_view{m.topic}.substr(pos + 1));
     if (it == liveness_.end()) return;
     it->second.last_heartbeat = sim().now();
     if (it->second.lost) {
         it->second.lost = false;
+        const std::string device = it->first;  // apps may edit liveness_
         trace().mark(sim().now(), "device_recovered/" + device);
         if (auto* log = events()) {
             log->emit(mcps::obs::EventKind::kSupervisorState, sim().now(),

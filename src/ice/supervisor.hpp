@@ -89,7 +89,8 @@ private:
     DeviceRegistry& registry_;
     SupervisorConfig cfg_;
     std::vector<Deployment> deployments_;
-    std::map<std::string, LivenessInfo> liveness_;
+    /// Keyed by device name; heartbeats look up a view into their topic.
+    std::map<std::string, LivenessInfo, std::less<>> liveness_;
     std::uint64_t lost_events_ = 0;
     mcps::sim::EventHandle check_handle_;
     mcps::net::SubscriptionId hb_sub_;

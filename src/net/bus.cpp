@@ -27,19 +27,71 @@ Bus::Bus(mcps::sim::Simulation& sim, ChannelParameters default_channel)
 SubscriptionId Bus::subscribe(const std::string& endpoint,
                               const std::string& pattern, Handler handler) {
     if (!handler) throw std::invalid_argument("subscribe: empty handler");
-    const SubscriptionId id{next_sub_++};
-    subs_.push_back(Subscription{id, endpoint, pattern, std::move(handler),
-                                 &channel_for(endpoint)});
+    const SubscriptionId id{subs_.size() + 1};
+    subs_.push_back(std::make_unique<Subscription>(
+        Subscription{id, endpoint, pattern, std::move(handler),
+                     &channel_for(endpoint)}));
+    ++live_subs_;
+    Subscription* sub = subs_.back().get();
+    // Newest subscription last, so every topic list stays in order.
+    for (auto& [topic, list] : topics_) {
+        if (topic_matches(sub->pattern, topic)) list.push_back(sub);
+    }
     return id;
 }
 
 bool Bus::unsubscribe(SubscriptionId id) {
-    const auto it = std::find_if(
-        subs_.begin(), subs_.end(),
-        [id](const Subscription& s) { return s.id.value == id.value; });
-    if (it == subs_.end()) return false;
-    subs_.erase(it);
+    if (id.value == 0 || id.value > subs_.size()) return false;
+    std::unique_ptr<Subscription>& owner = subs_[id.value - 1];
+    if (!owner) return false;
+    for (auto& [topic, list] : topics_) {
+        list.erase(std::remove(list.begin(), list.end(), owner.get()),
+                   list.end());
+    }
+    --live_subs_;
+    if (owner.get() == running_) {
+        retired_ = std::move(owner);
+    } else {
+        owner.reset();
+    }
     return true;
+}
+
+const std::vector<Bus::Subscription*>& Bus::subscribers_of(
+    const std::string& topic) {
+    auto it = topics_.find(topic);
+    if (it == topics_.end()) {
+        std::vector<Subscription*> list;
+        for (const auto& sub : subs_) {
+            if (sub && topic_matches(sub->pattern, topic)) {
+                list.push_back(sub.get());
+            }
+        }
+        it = topics_.emplace(topic, std::move(list)).first;
+    }
+    return it->second;
+}
+
+void Bus::deliver(SubscriptionId id, const Message& msg) {
+    Subscription* sub = subs_[id.value - 1].get();
+    if (sub == nullptr) return;
+    ++stats_.delivered;
+    stats_.delivery_latency_ms.add((sim_.now() - msg.sent_at).to_millis());
+    if (events_) {
+        events_->emit(mcps::obs::EventKind::kBusDeliver, sim_.now(),
+                      sub->endpoint, msg.topic, static_cast<double>(msg.seq));
+    }
+    // Clears the running mark and frees a self-unsubscribed handler once
+    // the handler has returned, also when it throws.
+    struct Running {
+        Bus& bus;
+        ~Running() {
+            bus.running_ = nullptr;
+            bus.retired_.reset();
+        }
+    } running{*this};
+    running_ = sub;
+    sub->handler(msg);
 }
 
 Channel& Bus::channel_for(const std::string& endpoint) {
@@ -101,14 +153,13 @@ std::uint64_t Bus::publish(const std::string& sender, const std::string& topic,
 
     // Snapshot matching subscriptions now; a subscriber added after
     // publication must not receive an in-flight message.
-    for (const auto& sub : subs_) {
-        if (!topic_matches(sub.pattern, topic)) continue;
-        DeliveryPlan plan = sub.channel->plan_delivery(now);
+    for (const Subscription* sub : subscribers_of(topic)) {
+        DeliveryPlan plan = sub->channel->plan_delivery(now);
         if (plan.dropped) {
             ++stats_.dropped;
             if (events_) {
                 events_->emit(mcps::obs::EventKind::kBusDrop, now,
-                              sub.endpoint, topic, static_cast<double>(seq));
+                              sub->endpoint, topic, static_cast<double>(seq));
             }
             continue;
         }
@@ -126,24 +177,8 @@ std::uint64_t Bus::publish(const std::string& sender, const std::string& topic,
                                              garbled_vital(msg->seq), false};
             }
         }
-        const SubscriptionId sub_id = sub.id;
-        auto deliver = [this, msg = std::move(out), sub_id]() {
-            // Re-check liveness at delivery time: unsubscribing cancels
-            // in-flight deliveries, as a real middleware detach would.
-            const auto it = std::find_if(subs_.begin(), subs_.end(),
-                                         [sub_id](const Subscription& s) {
-                                             return s.id.value == sub_id.value;
-                                         });
-            if (it == subs_.end()) return;
-            ++stats_.delivered;
-            stats_.delivery_latency_ms.add(
-                (sim_.now() - msg->sent_at).to_millis());
-            if (events_) {
-                events_->emit(mcps::obs::EventKind::kBusDeliver, sim_.now(),
-                              it->endpoint, msg->topic,
-                              static_cast<double>(msg->seq));
-            }
-            it->handler(*msg);
+        auto deliver = [this, msg = std::move(out), id = sub->id]() {
+            this->deliver(id, *msg);
         };
         sim_.schedule_after(plan.delay, deliver);
         if (plan.duplicated) {

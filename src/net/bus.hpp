@@ -11,6 +11,13 @@
 /// Ordering note: messages on one (publisher, subscriber) pair can
 /// reorder if jitter exceeds the publish spacing — exactly like UDP-based
 /// medical device protocols; consumers needing order use Message::seq.
+///
+/// Routing: the bus keeps, per topic it has seen published, the list of
+/// matching subscriptions in subscription order, and updates every list
+/// when a subscription comes or goes. A publish therefore matches no
+/// patterns; it walks its topic's list, which visits subscribers in the
+/// same order (and so draws channel randomness and schedules deliveries
+/// in the same order) as testing every subscription would.
 
 #pragma once
 
@@ -19,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "channel.hpp"
@@ -62,7 +70,8 @@ public:
 
     /// Subscribe \p endpoint to all topics matching \p pattern (see
     /// topic_matches). The handler runs at delivery time (after the
-    /// endpoint's channel delay).
+    /// endpoint's channel delay). A handler may subscribe or unsubscribe
+    /// (itself included) while it runs.
     SubscriptionId subscribe(const std::string& endpoint,
                              const std::string& pattern, Handler handler);
 
@@ -89,7 +98,7 @@ public:
 
     [[nodiscard]] const BusStats& stats() const noexcept { return stats_; }
     [[nodiscard]] std::size_t subscription_count() const noexcept {
-        return subs_.size();
+        return live_subs_;
     }
 
     /// Message-slot recycling counters (bench --json hooks): steady-state
@@ -118,12 +127,27 @@ private:
     };
 
     Channel& channel_for(const std::string& endpoint);
+    /// The subscriptions matching \p topic, in subscription order; built
+    /// on the topic's first publish.
+    const std::vector<Subscription*>& subscribers_of(const std::string& topic);
+    /// Runs the handler of subscription \p id if it is still subscribed
+    /// (an unsubscribe cancels in-flight deliveries).
+    void deliver(SubscriptionId id, const Message& msg);
 
     mcps::sim::Simulation& sim_;
     ChannelParameters default_params_;
     std::uint64_t next_seq_{1};
-    std::uint64_t next_sub_{1};
-    std::vector<Subscription> subs_;
+    /// Every subscription made, in subscription order, at index id - 1;
+    /// null once unsubscribed. Each record keeps its address for life.
+    std::vector<std::unique_ptr<Subscription>> subs_;
+    std::size_t live_subs_ = 0;
+    /// Per published topic, its live matching subscriptions in order.
+    std::unordered_map<std::string, std::vector<Subscription*>> topics_;
+    /// The subscription whose handler is running, and that subscription
+    /// once it has unsubscribed itself: its handler stays alive until it
+    /// returns. Handlers never nest (they run from kernel events).
+    Subscription* running_ = nullptr;
+    std::unique_ptr<Subscription> retired_;
     std::map<std::string, std::unique_ptr<Channel>> channels_;
     std::vector<std::pair<mcps::sim::SimTime, mcps::sim::SimTime>> partitions_;
     MessagePool pool_;

@@ -26,8 +26,11 @@ namespace mcps::sim {
 inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 
 /// Stable 64-bit FNV-1a hash used to derive per-name substream seeds.
-[[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view s) noexcept {
-    std::uint64_t h = kFnvOffset;
+/// Passing an earlier result as \p h continues that hash over \p s, so
+/// fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b); artifact digests and cache
+/// keys are built this way and are pinned byte for byte.
+[[nodiscard]] constexpr std::uint64_t fnv1a64(
+    std::string_view s, std::uint64_t h = kFnvOffset) noexcept {
     for (char c : s) {
         h ^= static_cast<std::uint8_t>(c);
         h *= 1099511628211ULL;

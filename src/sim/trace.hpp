@@ -138,6 +138,11 @@ public:
         return signals_.size();
     }
     [[nodiscard]] std::vector<std::string> signal_names() const;
+    /// Every signal, keyed and ordered by name.
+    [[nodiscard]] const std::map<std::string, Signal>& signals()
+        const noexcept {
+        return signals_;
+    }
 
     /// Write all signals as long-format CSV: time_s,signal,value.
     void write_csv(std::ostream& os) const;
@@ -145,6 +150,34 @@ public:
 private:
     std::map<std::string, Signal> signals_;
     std::vector<TraceMark> marks_;
+};
+
+/// A signal name bound to a recorder, resolved on its first record().
+///
+/// Hot recorders (sensors, the 1 Hz ground truth) hold one of these so a
+/// sample costs a pointer test instead of building the name and finding
+/// it in the map. Resolution waits for the first record() because a
+/// signal that exists but is empty still counts: it is listed by
+/// signal_names() and folded into trace fingerprints. A SignalRef that
+/// never records therefore leaves the recorder exactly as it found it.
+/// The recorder must outlive the ref.
+class SignalRef {
+public:
+    SignalRef(TraceRecorder& recorder, std::string name)
+        : recorder_{&recorder}, name_{std::move(name)} {}
+
+    /// Same effect as TraceRecorder::record(name(), t, value).
+    void record(SimTime t, double value) {
+        if (signal_ == nullptr) signal_ = &recorder_->signal(name_);
+        signal_->record(t, value);
+    }
+
+    [[nodiscard]] const std::string& name() const noexcept { return name_; }
+
+private:
+    TraceRecorder* recorder_;
+    std::string name_;
+    Signal* signal_ = nullptr;
 };
 
 }  // namespace mcps::sim

@@ -10,10 +10,9 @@ using mcps::sim::SimDuration;
 
 std::uint64_t trace_fingerprint(const mcps::sim::TraceRecorder& trace) {
     std::uint64_t h = sim::kFnvOffset;
-    for (const auto& name : trace.signal_names()) {
-        const auto* sig = trace.find(name);
+    for (const auto& [name, sig] : trace.signals()) {
         h = sim::hash_mix_string(h, name);
-        for (const auto& s : sig->samples()) {
+        for (const auto& s : sig.samples()) {
             h = sim::hash_mix(h, static_cast<std::uint64_t>(s.time.ticks()));
             h = sim::hash_mix(h, std::bit_cast<std::uint64_t>(s.value));
         }

@@ -135,6 +135,34 @@ TEST_F(InterlockTest, PersistentHypoxiaTriggersStop) {
     EXPECT_GT(ilk.stats().acks_received, 0u);
 }
 
+TEST_F(InterlockTest, UnknownMetricNamesAreIgnored) {
+    InterlockConfig cfg;
+    cfg.persistence = 3_s;
+    cfg.staleness_limit = 6_s;
+    auto& ilk = bind_direct(cfg);
+    // Critical-looking values under names the interlock does not read,
+    // next to healthy values under the names it does.
+    for (int i = 0; i < 30; ++i) {
+        inject("spo2", 97.0);
+        inject("etco2", 38.0);
+        inject("resp_rate", 14.0);
+        inject("SpO2", 50.0);
+        inject("spo2_raw", 50.0);
+        inject("temperature", 20.0);
+        sim_.run_for(1_s);
+    }
+    EXPECT_EQ(ilk.state(), InterlockState::kMonitoring);
+    EXPECT_EQ(ilk.stats().stops_issued, 0u);
+    // Unknown names alone do not count as fresh data: fail-safe stops.
+    for (int i = 0; i < 15; ++i) {
+        inject("spo2_raw", 97.0);
+        inject("pulse_rate", 70.0);
+        sim_.run_for(1_s);
+    }
+    EXPECT_EQ(ilk.state(), InterlockState::kDataLoss);
+    EXPECT_EQ(ilk.stats().data_loss_stops, 1u);
+}
+
 TEST_F(InterlockTest, TransientDipDoesNotTrigger) {
     InterlockConfig cfg;
     cfg.mode = InterlockMode::kSpO2Only;

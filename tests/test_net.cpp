@@ -371,6 +371,125 @@ TEST(Bus, EmptyHandlerRejected) {
     EXPECT_THROW(bus.subscribe("x", "t", nullptr), std::invalid_argument);
 }
 
+TEST(Bus, TopicListsFollowSubscribeAndUnsubscribeMidRun) {
+    sim::Simulation s;
+    net::Bus bus{s, net::ChannelParameters::ideal()};
+    std::vector<std::string> got;
+    auto record = [&got](std::string tag) {
+        return [&got, tag](const net::Message& m) {
+            got.push_back(tag + ":" + m.topic);
+        };
+    };
+    const auto all = bus.subscribe("all", "*", record("all"));
+    bus.subscribe("vit", "vitals/*", record("vit"));
+    bus.publish("p", "vitals/bed1/spo2", net::StatusPayload{});
+    bus.publish("p", "cmd/pump1", net::StatusPayload{});
+    s.run_all();
+    EXPECT_EQ(got, (std::vector<std::string>{"all:vitals/bed1/spo2",
+                                             "vit:vitals/bed1/spo2",
+                                             "all:cmd/pump1"}));
+
+    // Both topics have been published, so their lists exist; a new
+    // subscriber joins the matching one at the end, a removed one leaves.
+    got.clear();
+    bus.subscribe("exact", "cmd/pump1", record("exact"));
+    EXPECT_TRUE(bus.unsubscribe(all));
+    bus.subscribe("all2", "*", record("all2"));
+    bus.publish("p", "vitals/bed1/spo2", net::StatusPayload{});
+    bus.publish("p", "cmd/pump1", net::StatusPayload{});
+    bus.publish("p", "status/oxi1", net::StatusPayload{});
+    s.run_all();
+    EXPECT_EQ(got, (std::vector<std::string>{
+                       "vit:vitals/bed1/spo2", "all2:vitals/bed1/spo2",
+                       "exact:cmd/pump1", "all2:cmd/pump1",
+                       "all2:status/oxi1"}));
+    EXPECT_EQ(bus.subscription_count(), 3u);
+}
+
+TEST(Bus, LateSubscriberMissesInFlightButGetsLaterMessages) {
+    sim::Simulation s;
+    net::ChannelParameters delayed;
+    delayed.base_latency = 50_ms;
+    delayed.jitter_sd = sim::SimDuration::zero();
+    net::Bus bus{s, delayed};
+    std::vector<std::uint64_t> early, late;
+    bus.subscribe("early", "t", [&](const net::Message& m) {
+        early.push_back(m.seq);
+    });
+    const auto first = bus.publish("p", "t", net::StatusPayload{});
+    bus.subscribe("late", "t", [&](const net::Message& m) {
+        late.push_back(m.seq);
+    });
+    s.run_for(10_ms);  // first message still in flight
+    const auto second = bus.publish("p", "t", net::StatusPayload{});
+    s.run_all();
+    EXPECT_EQ(early, (std::vector<std::uint64_t>{first, second}));
+    EXPECT_EQ(late, (std::vector<std::uint64_t>{second}));
+}
+
+// What the two re-entrancy tests below record. Their handlers capture
+// just the bus and this probe: two references fit std::function's inline
+// storage, so the closure lives inside the subscription record itself
+// and is freed with it if the record moves or is erased mid-call.
+struct ReentrancyProbe {
+    net::SubscriptionId self;
+    int calls = 0;
+    int others = 0;
+    std::string seen;
+};
+
+// A handler that subscribes grows the subscription storage while the
+// handler itself is running; the running handler must stay valid.
+TEST(Bus, HandlerThatSubscribesKeepsRunning) {
+    sim::Simulation s;
+    net::Bus bus{s, net::ChannelParameters::ideal()};
+    ReentrancyProbe probe;
+    bus.subscribe("a", "t", [&bus, &probe](const net::Message& m) {
+        for (int i = 0; i < 16; ++i) {
+            std::string endpoint = "b";
+            endpoint += std::to_string(i);
+            bus.subscribe(endpoint, "other",
+                          [&probe](const net::Message&) { ++probe.others; });
+        }
+        probe.seen = m.topic;  // reads the captures after the subscribes
+        ++probe.calls;
+    });
+    bus.publish("p", "t", net::StatusPayload{});
+    s.run_all();
+    EXPECT_EQ(probe.calls, 1);
+    EXPECT_EQ(probe.seen, "t");
+    bus.publish("p", "other", net::StatusPayload{});
+    s.run_all();
+    EXPECT_EQ(probe.others, 16);
+}
+
+// A handler that unsubscribes itself must not destroy its own running
+// closure. Its in-flight deliveries are cancelled and do not reach the
+// subscription the handler made in its place.
+TEST(Bus, HandlerThatUnsubscribesItselfFinishesAndStops) {
+    sim::Simulation s;
+    net::Bus bus{s, net::ChannelParameters::ideal()};
+    ReentrancyProbe probe;
+    probe.self = bus.subscribe("a", "t", [&bus, &probe](const net::Message& m) {
+        EXPECT_TRUE(bus.unsubscribe(probe.self));
+        bus.subscribe("b", "t",
+                      [&probe](const net::Message&) { ++probe.others; });
+        probe.seen = m.topic;  // reads the captures after the unsubscribe
+        ++probe.calls;
+    });
+    bus.publish("p", "t", net::StatusPayload{});
+    bus.publish("p", "t", net::StatusPayload{});  // in flight at unsubscribe
+    s.run_all();
+    EXPECT_EQ(probe.calls, 1);
+    EXPECT_EQ(probe.seen, "t");
+    EXPECT_EQ(probe.others, 0);
+    EXPECT_EQ(bus.subscription_count(), 1u);
+    bus.publish("p", "t", net::StatusPayload{});
+    s.run_all();
+    EXPECT_EQ(probe.calls, 1);
+    EXPECT_EQ(probe.others, 1);
+}
+
 TEST(Bus, OutageInjectionViaEndpointChannel) {
     sim::Simulation s;
     net::Bus bus{s, net::ChannelParameters::ideal()};

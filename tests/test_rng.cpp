@@ -182,4 +182,11 @@ TEST(Rng, Fnv1aStable) {
     EXPECT_EQ(mcps::sim::fnv1a64("a"), 12638187200555641996ULL);
 }
 
+TEST(Rng, Fnv1aContinues) {
+    using mcps::sim::fnv1a64;
+    EXPECT_EQ(fnv1a64("b", fnv1a64("a")), fnv1a64("ab"));
+    EXPECT_EQ(fnv1a64("", fnv1a64("abc")), fnv1a64("abc"));
+    EXPECT_EQ(fnv1a64("a", mcps::sim::kFnvOffset), fnv1a64("a"));
+}
+
 }  // namespace

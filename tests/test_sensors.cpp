@@ -238,6 +238,44 @@ TEST_F(SensorsTest, MonitorStalenessDetection) {
     EXPECT_TRUE(mon.is_stale("spo2"));
 }
 
+TEST_F(SensorsTest, MonitorServesMetricsWithoutRules) {
+    devices::BedsideMonitor mon{ctx_, "mon1",
+                                devices::MonitorConfig::adult_defaults()};
+    mon.start();
+    EXPECT_FALSE(mon.latest("temperature").has_value());
+    EXPECT_TRUE(mon.is_stale("temperature"));
+    bus_.publish("thermo", "vitals/bed1/temperature",
+                 net::VitalSignPayload{"temperature", 41.5, false});
+    sim_.run_for(1_s);
+    const auto view = mon.latest("temperature");
+    ASSERT_TRUE(view.has_value());
+    EXPECT_DOUBLE_EQ(view->value, 41.5);
+    EXPECT_FALSE(view->valid);
+    EXPECT_EQ(view->updated_at, sim::SimTime::origin());
+    EXPECT_FALSE(mon.is_stale("temperature"));
+    EXPECT_TRUE(mon.alarms().empty());  // no rule, no alarm
+    EXPECT_FALSE(mon.latest("spo2").has_value());
+    sim_.run_for(30_s);
+    EXPECT_TRUE(mon.is_stale("temperature"));
+}
+
+TEST_F(SensorsTest, MonitorRulesOnOneMetricShareTheStreak) {
+    devices::MonitorConfig cfg;
+    cfg.rules = {devices::ThresholdRule{"spo2", 90.0, 1e300, 3},
+                 devices::ThresholdRule{"etco2", 15.0, 60.0, 1},
+                 devices::ThresholdRule{"spo2", -1e300, 80.0, 2}};
+    devices::BedsideMonitor mon{ctx_, "mon1", cfg};
+    mon.start();
+    // 85 violates both spo2 rules, and each counts into the one spo2
+    // streak: it reaches 2 at the second rule, which fires at once.
+    bus_.publish("oxi", "vitals/bed1/spo2",
+                 net::VitalSignPayload{"spo2", 85.0, true});
+    sim_.run_for(1_s);
+    ASSERT_EQ(mon.alarms().size(), 1u);
+    EXPECT_EQ(mon.alarms()[0].metric, "spo2");
+    EXPECT_EQ(mon.alarms()[0].reason, "high");
+}
+
 TEST_F(SensorsTest, MonitorHighThresholdFires) {
     devices::BedsideMonitor mon{ctx_, "mon1",
                                 devices::MonitorConfig::adult_defaults()};

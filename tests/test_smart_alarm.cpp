@@ -203,6 +203,33 @@ TEST_F(SmartAlarmTest, DominantMetricIdentified) {
     EXPECT_EQ(sa.alarms()[0].dominant_metric, "resp_rate");
 }
 
+TEST_F(SmartAlarmTest, UnknownMetricNamesAreIgnored) {
+    SmartAlarmConfig cfg;
+    cfg.persistence = 3_s;
+    cfg.staleness_limit = 5_s;
+    auto& sa = make(cfg);
+    for (int i = 0; i < 30; ++i) {
+        inject_healthy();
+        inject("SpO2", 40.0);
+        inject("temperature", 45.0);
+        inject("resp", 1.0);
+        sim_.run_for(1_s);
+    }
+    EXPECT_TRUE(sa.alarms().empty());
+    EXPECT_LT(sa.current_score(), 1.0);
+    // Only unknown names keep arriving: every fused channel goes silent,
+    // which raises technical alerts for the four known channels only.
+    for (int i = 0; i < 20; ++i) {
+        inject("temperature", 45.0);
+        sim_.run_for(1_s);
+    }
+    EXPECT_TRUE(sa.alarms().empty());
+    std::vector<std::string> silent;
+    for (const auto& t : sa.technical_alerts()) silent.push_back(t.metric);
+    EXPECT_EQ(silent, (std::vector<std::string>{"spo2", "resp_rate", "etco2",
+                                                "pulse_rate"}));
+}
+
 TEST_F(SmartAlarmTest, StopDetachesFromBus) {
     auto& sa = make();
     sa.stop();

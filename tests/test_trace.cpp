@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "sim/trace.hpp"
+#include "testkit/runner.hpp"
 
 namespace {
 
@@ -157,6 +158,64 @@ TEST(TraceRecorder, SignalNamesSorted) {
     tr.record("b", at(1_s), 1.0);
     tr.record("a", at(1_s), 1.0);
     EXPECT_EQ(tr.signal_names(), (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(SignalRef, UnrecordedRefLeavesRecorderUntouched) {
+    TraceRecorder tr;
+    tr.record("a", at(1_s), 1.0);
+    tr.mark(at(2_s), "m");
+    const auto count = tr.signal_count();
+    const auto fingerprint = mcps::testkit::trace_fingerprint(tr);
+    {
+        SignalRef ref{tr, "b"};
+        EXPECT_EQ(ref.name(), "b");
+    }
+    SignalRef kept{tr, "c"};
+    EXPECT_EQ(tr.signal_count(), count);
+    EXPECT_EQ(tr.find("b"), nullptr);
+    EXPECT_EQ(tr.find("c"), nullptr);
+    EXPECT_EQ(mcps::testkit::trace_fingerprint(tr), fingerprint);
+}
+
+TEST(SignalRef, RecordsLikeTheStringEntryPoint) {
+    TraceRecorder by_name;
+    TraceRecorder by_ref;
+    SignalRef ref{by_ref, "x"};
+    for (int i = 0; i < 5; ++i) {
+        const SimTime t = at(SimDuration::seconds(i));
+        by_name.record("x", t, 0.5 * i);
+        ref.record(t, 0.5 * i);
+    }
+    // The string entry point lands in the signal the ref resolved to.
+    by_name.record("x", at(9_s), 7.0);
+    by_ref.record("x", at(9_s), 7.0);
+    ASSERT_NE(by_ref.find("x"), nullptr);
+    ASSERT_EQ(by_ref.find("x")->size(), 6u);
+    for (std::size_t i = 0; i < 6; ++i) {
+        EXPECT_EQ(by_ref.find("x")->samples()[i].time,
+                  by_name.find("x")->samples()[i].time);
+        EXPECT_EQ(by_ref.find("x")->samples()[i].value,
+                  by_name.find("x")->samples()[i].value);
+    }
+    EXPECT_EQ(mcps::testkit::trace_fingerprint(by_ref),
+              mcps::testkit::trace_fingerprint(by_name));
+    // A ref bound to an existing signal appends to it.
+    SignalRef again{by_ref, "x"};
+    again.record(at(10_s), 8.0);
+    EXPECT_EQ(by_ref.find("x")->size(), 7u);
+    EXPECT_THROW(again.record(at(10_s), std::nan("")), std::invalid_argument);
+}
+
+TEST(TraceRecorder, SignalsAccessorMatchesNames) {
+    TraceRecorder tr;
+    tr.record("b", at(1_s), 1.0);
+    tr.signal("a");  // exists, empty
+    std::vector<std::string> names;
+    for (const auto& [name, sig] : tr.signals()) {
+        names.push_back(name);
+        EXPECT_EQ(&sig, tr.find(name));
+    }
+    EXPECT_EQ(names, tr.signal_names());
 }
 
 TEST(TraceRecorder, CsvExport) {

@@ -8,9 +8,12 @@
 #                            + TA5 deadline slack table with the
 #                            static-vs-observed cross-check, then a SARIF
 #                            export validated by the built-in checker
-#   3. analysis/scenario/kernel/serve/obs/hospital/pipeline: per-rule
-#                            seeded-defect fixtures (incl. CONC1/TA5/
-#                            SARIF + the CFG1 missing-root exit code),
+#   3. core/trace/analysis/scenario/kernel/serve/obs/hospital/pipeline:
+#                            the unit suite (net, trace, devices,
+#                            interlock, smart alarm, ...), the golden-trace
+#                            pins, per-rule seeded-defect fixtures
+#                            (incl. CONC1/TA5/SARIF + the CFG1
+#                            missing-root exit code),
 #                            the scenario registry/spec suite, the
 #                            event-heap/arena differential suite,
 #                            the service suite (protocol fuzz, cache,
@@ -79,9 +82,9 @@ stage "2/7 model linter (mcps_analyze)"
 "${repo_root}/build-ci-werror/tools/mcps_analyze" \
     --check-sarif "${repo_root}/build-ci-werror/analysis.sarif"
 
-stage "3/7 analysis + scenario + kernel + serve + obs + hospital + pipeline test labels"
+stage "3/7 core + trace + analysis + scenario + kernel + serve + obs + hospital + pipeline test labels"
 ctest --test-dir "${repo_root}/build-ci-werror" \
-    -L "analysis|scenario|kernel|serve|obs|hospital|pipeline" \
+    -L "core|trace|analysis|scenario|kernel|serve|obs|hospital|pipeline" \
     --output-on-failure
 
 stage "4/7 clang-tidy"
