@@ -1,13 +1,11 @@
 #include "sarif.hpp"
 
-#include <cctype>
-#include <map>
-#include <memory>
 #include <ostream>
 #include <set>
 #include <vector>
 
 #include "obs/format.hpp"
+#include "obs/json.hpp"
 
 namespace mcps::analysis {
 
@@ -53,213 +51,22 @@ void write_sarif(const AnalysisReport& report, std::ostream& out) {
     out << "      ]\n    }\n  ]\n}\n";
 }
 
-// ---- minimal JSON parser ---------------------------------------------------
-
 namespace {
 
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue {
-    enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-    Kind kind = Kind::kNull;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::shared_ptr<JsonArray> array;
-    std::shared_ptr<JsonObject> object;
-
-    [[nodiscard]] const JsonValue* get(const std::string& key) const {
-        if (kind != Kind::kObject) return nullptr;
-        const auto it = object->find(key);
-        return it == object->end() ? nullptr : &it->second;
-    }
-};
-
-class JsonParser {
-public:
-    explicit JsonParser(std::string_view text) : s_{text} {}
-
-    bool parse(JsonValue& out, std::string& error) {
-        if (!value(out, error)) return false;
-        ws();
-        if (i_ != s_.size()) {
-            error = "trailing characters after the JSON document";
-            return false;
-        }
-        return true;
-    }
-
-private:
-    void ws() {
-        while (i_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[i_]))) {
-            ++i_;
-        }
-    }
-
-    bool fail(std::string& error, const std::string& what) {
-        error = what + " at offset " + std::to_string(i_);
-        return false;
-    }
-
-    bool literal(std::string_view lit, std::string& error) {
-        if (s_.substr(i_, lit.size()) != lit) {
-            return fail(error, "bad literal");
-        }
-        i_ += lit.size();
-        return true;
-    }
-
-    bool value(JsonValue& out, std::string& error) {
-        ws();
-        if (i_ >= s_.size()) return fail(error, "unexpected end of input");
-        const char c = s_[i_];
-        if (c == '{') return object(out, error);
-        if (c == '[') return array(out, error);
-        if (c == '"') {
-            out.kind = JsonValue::Kind::kString;
-            return string(out.string, error);
-        }
-        if (c == 't') {
-            out.kind = JsonValue::Kind::kBool;
-            out.boolean = true;
-            return literal("true", error);
-        }
-        if (c == 'f') {
-            out.kind = JsonValue::Kind::kBool;
-            return literal("false", error);
-        }
-        if (c == 'n') return literal("null", error);
-        return number(out, error);
-    }
-
-    bool number(JsonValue& out, std::string& error) {
-        const std::size_t begin = i_;
-        if (i_ < s_.size() && s_[i_] == '-') ++i_;
-        while (i_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[i_])) ||
-                s_[i_] == '.' || s_[i_] == 'e' || s_[i_] == 'E' ||
-                s_[i_] == '+' || s_[i_] == '-')) {
-            ++i_;
-        }
-        if (i_ == begin) return fail(error, "expected a value");
-        out.kind = JsonValue::Kind::kNumber;
-        try {
-            out.number = std::stod(std::string{s_.substr(begin, i_ - begin)});
-        } catch (...) {
-            return fail(error, "malformed number");
-        }
-        return true;
-    }
-
-    bool string(std::string& out, std::string& error) {
-        if (s_[i_] != '"') return fail(error, "expected '\"'");
-        ++i_;
-        out.clear();
-        while (i_ < s_.size()) {
-            const char c = s_[i_++];
-            if (c == '"') return true;
-            if (c == '\\') {
-                if (i_ >= s_.size()) break;
-                const char e = s_[i_++];
-                switch (e) {
-                    case '"': out += '"'; break;
-                    case '\\': out += '\\'; break;
-                    case '/': out += '/'; break;
-                    case 'b': out += '\b'; break;
-                    case 'f': out += '\f'; break;
-                    case 'n': out += '\n'; break;
-                    case 'r': out += '\r'; break;
-                    case 't': out += '\t'; break;
-                    case 'u':
-                        if (i_ + 4 > s_.size()) {
-                            return fail(error, "truncated \\u escape");
-                        }
-                        out += '?';  // placeholder; codepoints irrelevant here
-                        i_ += 4;
-                        break;
-                    default: return fail(error, "bad escape");
-                }
-            } else {
-                out += c;
-            }
-        }
-        return fail(error, "unterminated string");
-    }
-
-    bool array(JsonValue& out, std::string& error) {
-        out.kind = JsonValue::Kind::kArray;
-        out.array = std::make_shared<JsonArray>();
-        ++i_;  // '['
-        ws();
-        if (i_ < s_.size() && s_[i_] == ']') {
-            ++i_;
-            return true;
-        }
-        while (true) {
-            JsonValue v;
-            if (!value(v, error)) return false;
-            out.array->push_back(std::move(v));
-            ws();
-            if (i_ >= s_.size()) return fail(error, "unterminated array");
-            if (s_[i_] == ',') {
-                ++i_;
-                continue;
-            }
-            if (s_[i_] == ']') {
-                ++i_;
-                return true;
-            }
-            return fail(error, "expected ',' or ']'");
-        }
-    }
-
-    bool object(JsonValue& out, std::string& error) {
-        out.kind = JsonValue::Kind::kObject;
-        out.object = std::make_shared<JsonObject>();
-        ++i_;  // '{'
-        ws();
-        if (i_ < s_.size() && s_[i_] == '}') {
-            ++i_;
-            return true;
-        }
-        while (true) {
-            ws();
-            std::string key;
-            if (i_ >= s_.size() || s_[i_] != '"' || !string(key, error)) {
-                return fail(error, "expected an object key");
-            }
-            ws();
-            if (i_ >= s_.size() || s_[i_] != ':') {
-                return fail(error, "expected ':'");
-            }
-            ++i_;
-            JsonValue v;
-            if (!value(v, error)) return false;
-            out.object->emplace(std::move(key), std::move(v));
-            ws();
-            if (i_ >= s_.size()) return fail(error, "unterminated object");
-            if (s_[i_] == ',') {
-                ++i_;
-                continue;
-            }
-            if (s_[i_] == '}') {
-                ++i_;
-                return true;
-            }
-            return fail(error, "expected ',' or '}'");
-        }
-    }
-
-    std::string_view s_;
-    std::size_t i_ = 0;
-};
+using JsonValue = obs::json::Value;
+using Type = JsonValue::Type;
 
 bool check(bool cond, std::string& error, const std::string& what) {
     if (!cond) error = what;
     return cond;
+}
+
+/// True when \p v is present and of type \p t.
+bool is(const JsonValue* v, Type t) { return v != nullptr && v->type == t; }
+
+/// \p v's member \p key; nullptr when \p v is absent or has none.
+const JsonValue* member(const JsonValue* v, std::string_view key) {
+    return v != nullptr ? v->get(key) : nullptr;
 }
 
 }  // namespace
@@ -268,50 +75,45 @@ bool check(bool cond, std::string& error, const std::string& what) {
 
 bool validate_sarif_minimal(std::string_view text, std::string& error) {
     JsonValue root;
-    if (!JsonParser{text}.parse(root, error)) return false;
+    try {
+        root = obs::json::parse(text);
+    } catch (const obs::json::Error& e) {
+        error = e.what();
+        return false;
+    }
 
-    if (!check(root.kind == JsonValue::Kind::kObject, error,
-               "root is not an object")) {
+    if (!check(root.type == Type::kObject, error, "root is not an object")) {
         return false;
     }
     const JsonValue* version = root.get("version");
-    if (!check(version != nullptr &&
-                   version->kind == JsonValue::Kind::kString &&
-                   version->string == "2.1.0",
+    if (!check(is(version, Type::kString) && version->string == "2.1.0",
                error, "version is not the string \"2.1.0\"")) {
         return false;
     }
     const JsonValue* runs = root.get("runs");
-    if (!check(runs != nullptr && runs->kind == JsonValue::Kind::kArray &&
-                   !runs->array->empty(),
-               error, "runs is not a non-empty array")) {
+    if (!check(is(runs, Type::kArray) && !runs->array.empty(), error,
+               "runs is not a non-empty array")) {
         return false;
     }
 
-    for (const JsonValue& run : *runs->array) {
-        const JsonValue* tool = run.get("tool");
-        const JsonValue* driver =
-            tool != nullptr ? tool->get("driver") : nullptr;
-        const JsonValue* name =
-            driver != nullptr ? driver->get("name") : nullptr;
-        if (!check(name != nullptr && name->kind == JsonValue::Kind::kString &&
-                       !name->string.empty(),
-                   error, "run has no tool.driver.name")) {
+    for (const JsonValue& run : runs->array) {
+        const JsonValue* driver = member(run.get("tool"), "driver");
+        const JsonValue* name = member(driver, "name");
+        if (!check(is(name, Type::kString) && !name->string.empty(), error,
+                   "run has no tool.driver.name")) {
             return false;
         }
 
         std::set<std::string> rule_ids;
         if (const JsonValue* rules = driver->get("rules")) {
-            if (!check(rules->kind == JsonValue::Kind::kArray, error,
+            if (!check(rules->type == Type::kArray, error,
                        "tool.driver.rules is not an array")) {
                 return false;
             }
-            for (const JsonValue& rule : *rules->array) {
+            for (const JsonValue& rule : rules->array) {
                 const JsonValue* id = rule.get("id");
-                if (!check(id != nullptr &&
-                               id->kind == JsonValue::Kind::kString &&
-                               !id->string.empty(),
-                           error, "a rule has no string id")) {
+                if (!check(is(id, Type::kString) && !id->string.empty(), error,
+                           "a rule has no string id")) {
                     return false;
                 }
                 if (!check(rule_ids.insert(id->string).second, error,
@@ -322,16 +124,14 @@ bool validate_sarif_minimal(std::string_view text, std::string& error) {
         }
 
         const JsonValue* results = run.get("results");
-        if (!check(results != nullptr &&
-                       results->kind == JsonValue::Kind::kArray,
-                   error, "run has no results array")) {
+        if (!check(is(results, Type::kArray), error,
+                   "run has no results array")) {
             return false;
         }
-        for (const JsonValue& res : *results->array) {
+        for (const JsonValue& res : results->array) {
             const JsonValue* rule_id = res.get("ruleId");
-            if (!check(rule_id != nullptr &&
-                           rule_id->kind == JsonValue::Kind::kString,
-                       error, "a result has no string ruleId")) {
+            if (!check(is(rule_id, Type::kString), error,
+                       "a result has no string ruleId")) {
                 return false;
             }
             if (!rule_ids.empty() &&
@@ -341,7 +141,7 @@ bool validate_sarif_minimal(std::string_view text, std::string& error) {
                 return false;
             }
             if (const JsonValue* level = res.get("level")) {
-                if (!check(level->kind == JsonValue::Kind::kString &&
+                if (!check(level->type == Type::kString &&
                                (level->string == "none" ||
                                 level->string == "note" ||
                                 level->string == "warning" ||
@@ -350,27 +150,21 @@ bool validate_sarif_minimal(std::string_view text, std::string& error) {
                     return false;
                 }
             }
-            const JsonValue* message = res.get("message");
-            const JsonValue* mtext =
-                message != nullptr ? message->get("text") : nullptr;
-            if (!check(mtext != nullptr &&
-                           mtext->kind == JsonValue::Kind::kString,
+            if (!check(is(member(res.get("message"), "text"), Type::kString),
                        error, "a result has no message.text string")) {
                 return false;
             }
             if (const JsonValue* locs = res.get("locations")) {
-                if (!check(locs->kind == JsonValue::Kind::kArray, error,
+                if (!check(locs->type == Type::kArray, error,
                            "result locations is not an array")) {
                     return false;
                 }
-                for (const JsonValue& loc : *locs->array) {
-                    const JsonValue* phys = loc.get("physicalLocation");
-                    const JsonValue* region =
-                        phys != nullptr ? phys->get("region") : nullptr;
-                    const JsonValue* start =
-                        region != nullptr ? region->get("startLine") : nullptr;
+                for (const JsonValue& loc : locs->array) {
+                    const JsonValue* start = member(
+                        member(loc.get("physicalLocation"), "region"),
+                        "startLine");
                     if (start != nullptr &&
-                        !check(start->kind == JsonValue::Kind::kNumber &&
+                        !check(start->type == Type::kNumber &&
                                    start->number >= 1.0,
                                error, "region startLine < 1")) {
                         return false;

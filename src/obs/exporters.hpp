@@ -19,7 +19,9 @@
 ///
 /// read_jsonl parses exactly what write_jsonl emits (the round-trip is
 /// exact); validate_bench_json checks the `--json` report schema every
-/// bench binary emits via benchio::JsonReporter.
+/// bench binary emits via benchio::JsonReporter. Both read through the
+/// one bounded JSON reader (json.hpp): read_jsonl pulls each line's
+/// fields off its cursor, validate_bench_json walks its value tree.
 
 #pragma once
 
@@ -33,9 +35,12 @@ namespace mcps::obs {
 /// Write one event per line; byte-deterministic for a given log.
 void write_jsonl(const EventLog& log, std::ostream& os);
 
-/// Parse a JSONL event stream produced by write_jsonl.
-/// \throws std::runtime_error naming the offending line on malformed
-/// input or unknown event kinds.
+/// Parse a JSONL event stream produced by write_jsonl. Each line is one
+/// object with an integer "t_us", string "kind", "src" and "detail", and
+/// a number-or-null "value" (null reads back as NaN); other members are
+/// skipped. \throws std::runtime_error naming the offending line on
+/// malformed input, a missing, duplicate or mistyped field, a
+/// fractional or out-of-range "t_us", or an unknown event kind.
 [[nodiscard]] EventLog read_jsonl(std::istream& is);
 
 /// Write the Chrome trace_event ("chrome://tracing") representation:

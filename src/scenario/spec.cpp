@@ -5,6 +5,8 @@
 #include <charconv>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace mcps::scenario {
 
 namespace {
@@ -152,130 +154,40 @@ ScenarioSpec parse_spec(std::string_view text) {
     return spec;
 }
 
-namespace {
-
-/// Minimal JSON reader for the one fixed spec shape. Not a general
-/// parser: strings are restricted to the spec charset (no escapes).
-class JsonCursor {
-public:
-    explicit JsonCursor(std::string_view text) : text_{text} {}
-
-    void skip_ws() {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-            ++pos_;
-        }
-    }
-
-    char peek() {
-        skip_ws();
-        if (pos_ >= text_.size()) {
-            throw SpecError{"spec json: unexpected end of input"};
-        }
-        return text_[pos_];
-    }
-
-    void expect(char c) {
-        if (peek() != c) {
-            throw SpecError{std::string{"spec json: expected '"} + c +
-                            "', got '" + text_[pos_] + "'"};
-        }
-        ++pos_;
-    }
-
-    bool accept(char c) {
-        skip_ws();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    std::string string() {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            const char c = text_[pos_++];
-            if (c == '\\') {
-                throw SpecError{
-                    "spec json: escape sequences are not supported in "
-                    "spec strings"};
-            }
-            out.push_back(c);
-        }
-        if (pos_ >= text_.size()) {
-            throw SpecError{"spec json: unterminated string"};
-        }
-        ++pos_;  // closing quote
-        return out;
-    }
-
-    std::uint64_t unsigned_number(std::string_view key) {
-        skip_ws();
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-            ++pos_;
-        }
-        return parse_spec_u64(key, text_.substr(start, pos_ - start));
-    }
-
-    void done() {
-        skip_ws();
-        if (pos_ != text_.size()) {
-            throw SpecError{"spec json: trailing content after object"};
-        }
-    }
-
-private:
-    std::string_view text_;
-    std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 ScenarioSpec parse_spec_json(std::string_view json) {
-    JsonCursor c{json};
     ScenarioSpec spec;
     bool seen_name = false;
-    c.expect('{');
-    if (!c.accept('}')) {
-        do {
-            const std::string key = c.string();
-            c.expect(':');
+    try {
+        obs::json::Cursor c{json};
+        c.for_each_member([&](const std::string& key) {
             if (key == "scenario") {
                 spec.name = c.string();
                 validate_key(spec.name);
                 seen_name = true;
             } else if (key == "seed") {
-                spec.seed = c.unsigned_number(key);
+                spec.seed = c.number<std::uint64_t>();
             } else if (key == "minutes") {
-                spec.minutes = c.unsigned_number(key);
+                spec.minutes = c.number<std::uint64_t>();
             } else if (key == "overrides") {
-                c.expect('{');
-                if (!c.accept('}')) {
-                    do {
-                        const std::string k = c.string();
-                        c.expect(':');
-                        const std::string v = c.string();
-                        if (spec.find(k) != nullptr) {
-                            throw SpecError{"spec: duplicate key '" + k +
-                                            "'"};
-                        }
-                        validate_key(k);
-                        validate_value(k, v);
-                        spec.overrides.emplace_back(k, v);
-                    } while (c.accept(','));
-                    c.expect('}');
-                }
+                c.for_each_member([&](const std::string& k) {
+                    const std::string v = c.string();
+                    if (spec.find(k) != nullptr) {
+                        throw SpecError{"spec: duplicate key '" + k + "'"};
+                    }
+                    validate_key(k);
+                    validate_value(k, v);
+                    spec.overrides.emplace_back(k, v);
+                });
             } else {
                 throw SpecError{"spec json: unknown key '" + key + "'"};
             }
-        } while (c.accept(','));
-        c.expect('}');
+        });
+        if (!c.at_end()) {
+            throw SpecError{"spec json: trailing content after object"};
+        }
+    } catch (const obs::json::Error& e) {
+        throw SpecError{std::string{"spec json: "} + e.what()};
     }
-    c.done();
     if (!seen_name) throw SpecError{"spec json: missing 'scenario' key"};
     return spec;
 }

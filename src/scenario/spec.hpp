@@ -69,7 +69,10 @@ struct ScenarioSpec {
 [[nodiscard]] ScenarioSpec parse_spec(std::string_view text);
 
 /// Parse the JSON form (an object with "scenario", optional "seed",
-/// "minutes" and "overrides"). \throws SpecError on malformed input.
+/// "minutes" and "overrides") with the shared bounded JSON reader
+/// (obs/json.hpp). String escapes are decoded before the key/value
+/// charset check, so an escape only helps spell a token the text form
+/// could carry too. \throws SpecError on malformed input.
 [[nodiscard]] ScenarioSpec parse_spec_json(std::string_view json);
 
 }  // namespace mcps::scenario

@@ -3,12 +3,13 @@
 ///
 /// Framing: one JSON object per LF-terminated line ("JSONL"), with a
 /// hard per-line byte bound enforced by the socket layer *before* any
-/// parsing (socket_io.hpp). Lines must be valid UTF-8. The parser here
-/// is deliberately strict and total: every malformed input — truncated
-/// objects, unknown fields, wrong types, bad escapes, oversized ids —
-/// maps to a ProtocolError carrying a machine-readable code, never to a
-/// crash or an unbounded allocation (the fuzz-style mutation tests in
-/// tests/serve assert exactly this).
+/// parsing (socket_io.hpp). Lines are read with the shared bounded JSON
+/// cursor (obs/json.hpp): strict grammar, nesting depth bound, strings
+/// checked as UTF-8. Parsing is strict and total: every malformed input
+/// — truncated objects, unknown fields, wrong types, bad escapes,
+/// oversized ids — maps to a ProtocolError carrying a machine-readable
+/// code, never to a crash or an unbounded allocation (the mutation
+/// sweep in tests/sweep asserts exactly this).
 ///
 /// Request lines (exactly one of "spec" / "cmd"):
 ///   {"id":"r1","spec":{"scenario":"pca","seed":42,"minutes":1,
@@ -83,13 +84,11 @@ struct Request {
 /// Maximum accepted id length (bytes).
 inline constexpr std::size_t kMaxIdBytes = 64;
 
-/// Parse one request line (without the trailing newline).
+/// Parse one request line (without the trailing newline). The "spec"
+/// value must be valid JSON (else bad-request) before it reaches
+/// scenario::parse_spec_json (whose SpecError becomes bad-spec).
 /// \throws ProtocolError on any malformed input.
 [[nodiscard]] Request parse_request(std::string_view line);
-
-/// True iff \p s is well-formed UTF-8 (rejects overlong encodings,
-/// surrogates and out-of-range code points).
-[[nodiscard]] bool utf8_valid(std::string_view s) noexcept;
 
 /// Compact single-line rendering of run artifacts:
 /// {"spec":{...},"fingerprint":"0x...","outcome":{...}}. This is the
@@ -140,9 +139,9 @@ struct Response {
 /// Parse one response line. \throws ProtocolError on malformed input.
 [[nodiscard]] Response parse_response(std::string_view line);
 
-/// Extract the "fingerprint" hex string from a raw artifacts object
-/// ("" if absent) — a convenience for verification paths that do not
-/// want to re-parse the whole artifact.
+/// Extract the top-level "fingerprint" string from a raw artifacts
+/// object ("" if absent or the object is malformed) — a convenience for
+/// verification paths that need nothing else from the artifact.
 [[nodiscard]] std::string artifacts_fingerprint(std::string_view artifacts);
 
 }  // namespace mcps::serve

@@ -118,4 +118,21 @@ TEST(AnalysisSarif, RejectsStructurallyEmptyAndGarbage) {
         R"({"version": "2.1.0", "runs": [{"tool": {"driver": {}}}]})", err));
 }
 
+TEST(AnalysisSarif, DeepNestingIsAClosedError) {
+    std::string err;
+    EXPECT_FALSE(
+        analysis::validate_sarif_minimal(std::string(100000, '['), err));
+    EXPECT_NE(err.find("nested deeper"), std::string::npos) << err;
+}
+
+TEST(AnalysisSarif, UnicodeEscapesDecode) {
+    // Two distinct rule ids spelled with \u escapes ("A" and "B").
+    const std::string text =
+        R"({"version": "2.1.0", "runs": [{"tool": {"driver": )"
+        R"({"name": "t", "rules": [{"id": "\u0041"}, {"id": "\u0042"}]}}, )"
+        R"("results": [{"ruleId": "B", "message": {"text": "m"}}]}]})";
+    std::string err;
+    EXPECT_TRUE(analysis::validate_sarif_minimal(text, err)) << err;
+}
+
 }  // namespace

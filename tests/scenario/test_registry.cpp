@@ -166,6 +166,22 @@ TEST(ScenarioRegistry, OneMinuteSmokeRunsAreDeterministic) {
     }
 }
 
+TEST(ScenarioRegistry, PresetTracesRoundTripThroughReadJsonl) {
+    // write_jsonl(read_jsonl(x)) == x on each closed-loop preset's full
+    // default-length trace.
+    for (const char* name :
+         {"pca", "pca-open", "smart-alarm", "xray", "xray-manual"}) {
+        obs::EventLog log;
+        scenario::RunOptions opts;
+        opts.events = &log;
+        (void)scenario::registry().run(scenario::registry().default_spec(name),
+                                       opts);
+        const std::string text = jsonl(log);
+        std::istringstream in{text};
+        EXPECT_EQ(jsonl(obs::read_jsonl(in)), text) << name;
+    }
+}
+
 TEST(ScenarioRegistry, MetricsSideCarIsPopulated) {
     ScenarioSpec spec = scenario::registry().default_spec("pca");
     spec.minutes = 1;

@@ -238,6 +238,35 @@ TEST(Jsonl, RejectsUnknownKind) {
     EXPECT_THROW((void)read_jsonl(is), std::runtime_error);
 }
 
+TEST(Jsonl, DeepNestingIsAClosedError) {
+    const std::string deep(100000, '[');
+    // A skipped unknown member goes through the same depth bound.
+    for (const std::string& line : {deep, "{\"extra\":" + deep}) {
+        std::istringstream is{line};
+        try {
+            (void)read_jsonl(is);
+            FAIL() << "expected std::runtime_error";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string{e.what()}.find("line 1"), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Jsonl, RejectsOutOfRangeTimestamp) {
+    std::istringstream is{
+        "{\"t_us\":1e999,\"kind\":\"bus_publish\",\"src\":\"a\","
+        "\"detail\":\"t\",\"value\":1}\n"};
+    EXPECT_THROW((void)read_jsonl(is), std::runtime_error);
+}
+
+TEST(Jsonl, RejectsFractionalTimestamp) {
+    std::istringstream is{
+        "{\"t_us\":1.7,\"kind\":\"bus_publish\",\"src\":\"a\","
+        "\"detail\":\"t\",\"value\":1}\n"};
+    EXPECT_THROW((void)read_jsonl(is), std::runtime_error);
+}
+
 // ---- Chrome trace ----------------------------------------------------
 
 TEST(ChromeTrace, EmitsLanesAndInstantEvents) {
@@ -284,6 +313,25 @@ TEST(BenchJson, RejectsMissingOrMistypedFields) {
         std::string error;
         EXPECT_FALSE(validate_bench_json(is, error)) << doc;
         EXPECT_FALSE(error.empty()) << doc;
+    }
+}
+
+TEST(BenchJson, RejectsNonFiniteSeed) {
+    std::istringstream is{"{\"bench\":\"x\",\"seed\":1e999,\"metrics\":[]}"};
+    std::string error;
+    EXPECT_FALSE(validate_bench_json(is, error));
+    EXPECT_FALSE(error.empty());
+}
+
+TEST(BenchJson, DeepNestingIsAClosedError) {
+    for (const std::string& doc :
+         {std::string(100000, '['),
+          "{\"bench\":\"x\",\"seed\":1,\"metrics\":" +
+              std::string(100000, '[')}) {
+        std::istringstream is{doc};
+        std::string error;
+        EXPECT_FALSE(validate_bench_json(is, error));
+        EXPECT_NE(error.find("nested deeper"), std::string::npos) << error;
     }
 }
 

@@ -8,7 +8,7 @@
 #                            + TA5 deadline slack table with the
 #                            static-vs-observed cross-check, then a SARIF
 #                            export validated by the built-in checker
-#   3. core/trace/analysis/scenario/kernel/serve/obs/hospital/pipeline:
+#   3. core/trace/analysis/scenario/kernel/serve/obs/hospital/pipeline/sweep:
 #                            the unit suite (net, trace, devices,
 #                            interlock, smart alarm, ...), the golden-trace
 #                            pins, per-rule seeded-defect fixtures
@@ -24,6 +24,10 @@
 #                            pipeline suite (artifact cache, graph
 #                            scheduling, cold/warm/parallel determinism,
 #                            knob-edit invalidation, CLI drift guard)
+#                            and the per-format JSON mutation sweeps
+#                            (serve lines, spec JSON, JSONL traces,
+#                            bench reports, SARIF) with the deep-nesting
+#                            CLI regression
 #   4. clang-tidy:           tools/run_tidy.sh (SKIPPED if not installed)
 #   5. bench smoke:          tools/bench_baseline.sh --quick for the
 #                            kernel and physio campaigns, the serve load
@@ -82,9 +86,9 @@ stage "2/7 model linter (mcps_analyze)"
 "${repo_root}/build-ci-werror/tools/mcps_analyze" \
     --check-sarif "${repo_root}/build-ci-werror/analysis.sarif"
 
-stage "3/7 core + trace + analysis + scenario + kernel + serve + obs + hospital + pipeline test labels"
+stage "3/7 core + trace + analysis + scenario + kernel + serve + obs + hospital + pipeline + sweep test labels"
 ctest --test-dir "${repo_root}/build-ci-werror" \
-    -L "core|trace|analysis|scenario|kernel|serve|obs|hospital|pipeline" \
+    -L "core|trace|analysis|scenario|kernel|serve|obs|hospital|pipeline|sweep" \
     --output-on-failure
 
 stage "4/7 clang-tidy"

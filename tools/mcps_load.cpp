@@ -22,15 +22,20 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <random>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "../bench/bench_io.hpp"
 #include "cli.hpp"
+#include "obs/exporters.hpp"
+#include "obs/json.hpp"
 #include "scenario/registry.hpp"
 #include "serve/serve.hpp"
 #include "sim/stats.hpp"
@@ -129,44 +134,29 @@ PhaseResult run_phase(const mcps::serve::Endpoint& ep, unsigned clients,
     return result;
 }
 
-/// Line-oriented extraction from a bench_io JsonReporter file (one
-/// metric object per line, the schema this repo's benches emit).
+/// Copies every non-null metric of a bench_io-schema report at \p path
+/// into \p json under PREFIX/. \throws std::runtime_error when the
+/// file cannot be read or does not conform to the schema.
 void import_metrics(mcps::benchio::JsonReporter& json,
                     const std::string& path, const std::string& prefix) {
     std::ifstream in{path};
     if (!in) {
-        std::cerr << "mcps_load: --import-metrics: cannot read '" << path
-                  << "'\n";
-        return;
+        throw std::runtime_error{"--import-metrics: cannot read '" + path +
+                                 "'"};
     }
-    std::string line;
-    while (std::getline(in, line)) {
-        const auto grab = [&line](const std::string& key,
-                                  std::string& out) {
-            const std::string probe = "\"" + key + "\": ";
-            const std::size_t at = line.find(probe);
-            if (at == std::string::npos) return false;
-            std::size_t s = at + probe.size();
-            std::size_t e = s;
-            if (s < line.size() && line[s] == '"') {
-                ++s;
-                e = line.find('"', s);
-            } else {
-                e = line.find_first_of(",}", s);
-            }
-            if (e == std::string::npos) return false;
-            out = line.substr(s, e - s);
-            return true;
-        };
-        std::string name, value, unit;
-        if (!grab("name", name) || !grab("value", value) ||
-            !grab("unit", unit) || value == "null") {
-            continue;
-        }
-        try {
-            json.metric(prefix + "/" + name, std::stod(value), unit);
-        } catch (const std::exception&) {
-        }
+    const std::string text{std::istreambuf_iterator<char>{in},
+                           std::istreambuf_iterator<char>{}};
+    std::istringstream report{text};
+    std::string error;
+    if (!mcps::obs::validate_bench_json(report, error)) {
+        throw std::runtime_error{"--import-metrics: " + path + ": " + error};
+    }
+    const mcps::obs::json::Value root = mcps::obs::json::parse(text);
+    for (const auto& m : root.get("metrics")->array) {
+        const auto* value = m.get("value");
+        if (value->type != mcps::obs::json::Value::Type::kNumber) continue;
+        json.metric(prefix + "/" + m.get("name")->string, value->number,
+                    m.get("unit")->string);
     }
 }
 
